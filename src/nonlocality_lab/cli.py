@@ -7,9 +7,11 @@ One executable, four subcommands:
     nonlocality-lab crypto eval|scan|tau-average
     nonlocality-lab theorem --nmin 2 --nmax 6 # operator-algebra residuals
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  All
-randomness derives from --seed through named substreams, so identical
-invocations produce byte-identical output.
+Exit codes: 0 success, 1 verification failure, 2 usage error.  A
+``crypto scan --out`` path that cannot be written is a usage error: one
+line ``nonlocality-lab: error: cannot write <path>: <reason>`` goes to
+stderr.  All randomness derives from --seed through named substreams, so
+identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -214,7 +216,11 @@ def _cmd_crypto_eval(args: argparse.Namespace) -> int:
 
 def _cmd_crypto_scan(args: argparse.Namespace) -> int:
     cells = region_scan(args.n_alpha, args.n_tau)
-    scan_to_csv(cells, args.out)
+    try:
+        scan_to_csv(cells, args.out)
+    except OSError as exc:
+        print(f"nonlocality-lab: error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     counts: dict[str, int] = {}
     for cell in cells:
         counts[cell.nonlocality.value] = counts.get(cell.nonlocality.value, 0) + 1

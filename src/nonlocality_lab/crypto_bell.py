@@ -24,18 +24,18 @@ family used throughout this module.
 The mu-integral is evaluated EXACTLY: on a great circle each projection
 a_hat.lam(mu) is a pure cosine with exactly two roots, so the integrand is
 piecewise +-1 on at most four arcs and |sin mu| integrates in closed form on
-each.  A dense Riemann sum is kept in the test suite as an independent
-cross-check; closed-form expressions (see ``chi_functions``) are evaluated
-both as printed and in a normalized variant and compared against the exact
-integrator, never trusted over it.
+each.  One numpy kernel does this for a whole array of tau values and a
+stack of vector sets at once; every correlation, CHSH value, tau average and
+scan row in this module goes through it.  A dense Riemann sum is kept in the
+test suite as an independent cross-check; closed-form expressions (see
+``chi_functions``) are evaluated both as printed and in a normalized variant
+and compared against the exact integrator, never trusted over it.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -117,12 +117,13 @@ def great_circle_point(mu: float, tau: float) -> np.ndarray:
     )
 
 
-def abs_sin_integral(lo: float, hi: float) -> float:
-    """Exact integral of |sin t| over [lo, hi], 0 <= lo <= hi."""
+def abs_sin_integral(lo, hi):
+    """Exact integral of |sin t| over [lo, hi], 0 <= lo <= hi; elementwise
+    on arrays."""
 
-    def antiderivative(t: float) -> float:
-        k = math.floor(t / math.pi)
-        return 2.0 * k + 1.0 - math.cos(t - k * math.pi)
+    def antiderivative(t):
+        k = np.floor(t / math.pi)
+        return 2.0 * k + 1.0 - np.cos(t - k * math.pi)
 
     return antiderivative(hi) - antiderivative(lo)
 
@@ -201,68 +202,59 @@ def model_outcomes(a, b, mu: float, tau: float) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _circle_roots(u: np.ndarray, tau: float) -> tuple[float, float] | None:
-    """Roots in [0, 2*pi) of u . lam(mu) = p cos(mu) + q sin(mu).
+def _arc_average(vectors, taus) -> np.ndarray:
+    """(1/4) * int_0^{2pi} prod_v sgn(v . lam(mu, tau)) |sin mu| dmu, exact.
 
-    Returns None when the projection vanishes identically (the circle lies
-    in the plane orthogonal to u); its sign is then the constant sgn(0)=+1.
+    ``vectors`` has shape (..., k, 3), one set of k vectors per leading
+    index, and ``taus`` shape (T,); the result has shape (..., T).  On the
+    circle tau each projection v . lam = p cos(mu) + q sin(mu) flips sign at
+    exactly two angles, so the product is piecewise constant on at most 2k
+    arcs; |sin| integrates in closed form on each.  A projection that
+    vanishes identically (the circle lies in the plane orthogonal to v) has
+    the constant sign sgn(0) = +1 and adds no break.
     """
-    p = u[2]
-    q = u[0] * math.cos(tau) + u[1] * math.sin(tau)
-    if math.hypot(p, q) < 1e-15:
-        return None
-    m = math.atan2(q, p)
-    return (m - math.pi / 2.0) % TWO_PI, (m + math.pi / 2.0) % TWO_PI
-
-
-def _arc_average(vectors: list[np.ndarray], tau: float) -> float:
-    """(1/4) * int_0^{2pi} prod_v sgn(v . lam(mu)) |sin mu| dmu, exact.
-
-    Each projection flips sign at exactly two angles, so the product is
-    piecewise constant on at most 2*len(vectors) arcs; |sin| integrates in
-    closed form on each arc.
-    """
-    breaks: list[float] = []
-    for v in vectors:
-        roots = _circle_roots(v, tau)
-        if roots is None:
-            continue  # vanishing projection: constant sign +1
-        breaks.extend(roots)
-    if not breaks:
-        return 1.0
-    breaks = sorted(set(breaks))
-    total = 0.0
-    for i, lo in enumerate(breaks):
-        hi = breaks[i + 1] if i + 1 < len(breaks) else breaks[0] + TWO_PI
-        if hi - lo < 1e-15:
-            continue
-        lam = great_circle_point(0.5 * (lo + hi), tau)
-        sign = 1
-        for v in vectors:
-            sign *= sgn(float(v @ lam))
-        total += sign * abs_sin_integral(lo, hi)
-    return total / 4.0
+    v = np.asarray(vectors, dtype=float)[..., None, :, :]
+    taus = np.asarray(taus, dtype=float)[:, None]
+    q = v[..., 0] * np.cos(taus) + v[..., 1] * np.sin(taus)  # (..., T, k)
+    p = np.broadcast_to(v[..., 2], q.shape)
+    vanish = np.hypot(p, q) < 1e-15
+    m = np.arctan2(q, p)
+    roots = np.concatenate([m - math.pi / 2.0, m + math.pi / 2.0], axis=-1) % TWO_PI
+    no_root = np.concatenate([vanish, vanish], axis=-1)
+    # A vanishing projection's two slots copy the first real break; the
+    # zero-length arcs this makes drop out below, so the sum is unchanged.
+    first = np.where(no_root, np.inf, roots).min(axis=-1, keepdims=True)
+    first = np.where(np.isinf(first), 0.0, first)
+    lo = np.sort(np.where(no_root, first, roots), axis=-1)  # (..., T, 2k)
+    hi = np.concatenate([lo[..., 1:], lo[..., :1] + TWO_PI], axis=-1)
+    mid = (0.5 * (lo + hi))[..., None]
+    projections = p[..., None, :] * np.cos(mid) + q[..., None, :] * np.sin(mid)
+    signs = np.where((projections >= 0.0) | vanish[..., None, :], 1.0, -1.0).prod(axis=-1)
+    arcs = np.where(hi - lo < 1e-15, 0.0, signs * abs_sin_integral(lo, hi))
+    return arcs.sum(axis=-1) / 4.0
 
 
 def conditional_correlation(a, b, tau: float) -> float:
     """Pair correlation at fixed tau: (1/4) int A B |sin mu| dmu, exact."""
     pair = rotated_settings(a, b)
-    return -_arc_average([pair.a_hat, pair.b_hat], tau)
+    return -float(_arc_average([pair.a_hat, pair.b_hat], [tau])[0])
 
 
 def crypto_local_average(a, tau: float, b=None) -> float:
     """Single-party average at fixed tau: (1/4) int A |sin mu| dmu.
 
     When ``b`` is given, the model's rotated vector a_hat(a, b) is averaged;
-    otherwise ``a`` itself is.  Either way the average vanishes for every
-    unit vector — opposite hemispheres of a great circle carry opposite
-    signs and equal weight — which is the crypto-nonlocality property.
+    otherwise ``a`` itself is.  Either way the average vanishes whenever the
+    projection onto the circle tau does not vanish identically — opposite
+    hemispheres of a great circle carry opposite signs and equal weight —
+    which is the crypto-nonlocality property.  A vector orthogonal to the
+    whole circle has the constant sign sgn(0) = +1 and averages to 1.
     """
     if b is not None:
         vector = rotated_settings(a, b).a_hat
     else:
         vector = as_unit_vector(a)
-    return _arc_average([vector], tau)
+    return float(_arc_average([vector], [tau])[0])
 
 
 def mc_joint_correlation(a, b, n: int, seed: int) -> tuple[float, float]:
@@ -397,21 +389,24 @@ class ConditionalChsh:
     nonlocality: NonlocalityClass
 
 
+def _rotated_family(alpha: float) -> np.ndarray:
+    """The family's rotated pairs (a_hat, b_hat) in CHSH order, shape (4, 2, 3)."""
+    rotated = (rotated_settings(u, v) for u, v in four_directions(alpha).pairs())
+    return np.array([(pair.a_hat, pair.b_hat) for pair in rotated])
+
+
+def _family_chsh(pairs: np.ndarray, taus) -> tuple[np.ndarray, np.ndarray]:
+    """Exact-arc correlations, shape (4, T), and CHSH values, shape (T,), of
+    the stacked rotated pairs from ``_rotated_family``, in one kernel call."""
+    e = -_arc_average(pairs, taus)
+    return e, e[0] + e[1] + e[2] - e[3]
+
+
 def conditional_chsh(alpha: float, tau: float) -> ConditionalChsh:
     """Exact-arc conditional correlations and CHSH value at (alpha, tau)."""
-    family = four_directions(alpha)
-    e = [conditional_correlation(u, v, tau) for u, v in family.pairs()]
-    f = e[0] + e[1] + e[2] - e[3]
-    return ConditionalChsh(
-        alpha=alpha,
-        tau=tau,
-        e_ab=e[0],
-        e_ab_prime=e[1],
-        e_a_prime_b=e[2],
-        e_a_prime_b_prime=e[3],
-        f=f,
-        nonlocality=classify_chsh(f),
-    )
+    e, f = _family_chsh(_rotated_family(alpha), [tau])
+    f = float(f[0])
+    return ConditionalChsh(alpha, tau, *e[:, 0].tolist(), f, classify_chsh(f))
 
 
 def closed_form_correlations(
@@ -512,9 +507,10 @@ def tau_average_correlation(a, b, epsabs: float = 1e-10) -> float:
     quantum value -a.b.
     """
     pair = rotated_settings(a, b)
+    vectors = [pair.a_hat, pair.b_hat]
 
     def integrand(tau: float) -> float:
-        return -_arc_average([pair.a_hat, pair.b_hat], tau)
+        return -float(_arc_average(vectors, [tau])[0])
 
     value, _ = quad(integrand, 0.0, math.pi, points=[math.pi / 2.0], limit=200, epsabs=epsabs)
     return value / math.pi
@@ -522,56 +518,33 @@ def tau_average_correlation(a, b, epsabs: float = 1e-10) -> float:
 
 def tau_average_chsh(alpha: float, epsabs: float = 1e-10) -> float:
     """(1/pi) * int_0^pi F_tau(alpha) dtau over the exact-arc integrand."""
-    family = four_directions(alpha)
-    pairs = [rotated_settings(u, v) for u, v in family.pairs()]
+    pairs = _rotated_family(alpha)
 
     def integrand(tau: float) -> float:
-        e = [-_arc_average([p.a_hat, p.b_hat], tau) for p in pairs]
-        return e[0] + e[1] + e[2] - e[3]
+        return float(_family_chsh(pairs, [tau])[1][0])
 
     value, _ = quad(integrand, 0.0, math.pi, points=[math.pi / 2.0], limit=200, epsabs=epsabs)
     return value / math.pi
 
 
-def _scan_row(args: tuple[float, tuple[float, ...]]) -> list[ConditionalChsh]:
-    alpha, taus = args
-    family = four_directions(alpha)
-    pairs = [rotated_settings(u, v) for u, v in family.pairs()]
-    row = []
-    for tau in taus:
-        e = [-_arc_average([p.a_hat, p.b_hat], tau) for p in pairs]
-        f = e[0] + e[1] + e[2] - e[3]
-        row.append(
-            ConditionalChsh(alpha, tau, e[0], e[1], e[2], e[3], f, classify_chsh(f))
-        )
-    return row
-
-
-def region_scan(
-    n_alpha: int = 200,
-    n_tau: int = 200,
-    workers: int | None = None,
-) -> list[ConditionalChsh]:
+def region_scan(n_alpha: int = 200, n_tau: int = 200) -> list[ConditionalChsh]:
     """Scan the (alpha, tau) rectangle [0, pi/4] x [0, pi) on cell centers.
 
     Cell centers keep the scan off the two isolated singular points of the
-    closed forms.  Results come back row-major in alpha then tau, identical
-    for any worker count; ``workers`` defaults to the NONLOCALITY_LAB_THREADS
-    environment variable (serial when unset).
+    closed forms.  Cells come back row-major: cell i * n_tau + j has
+    alpha = (i + 1/2) (pi/4) / n_alpha and tau = (j + 1/2) pi / n_tau.  Each
+    alpha row is one kernel call over all n_tau values of tau.
     """
     if n_alpha < 2 or n_tau < 2:
         raise ValueError("grid dimensions must be >= 2")
-    if workers is None:
-        workers = int(os.environ.get("NONLOCALITY_LAB_THREADS", "1"))
-    alphas = [(i + 0.5) * (math.pi / 4.0) / n_alpha for i in range(n_alpha)]
-    taus = tuple((j + 0.5) * math.pi / n_tau for j in range(n_tau))
-    jobs = [(alpha, taus) for alpha in alphas]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_row, jobs, chunksize=max(1, n_alpha // (4 * workers))))
-    else:
-        rows = [_scan_row(job) for job in jobs]
-    return [cell for row in rows for cell in row]
+    taus = [(j + 0.5) * math.pi / n_tau for j in range(n_tau)]
+    cells = []
+    for i in range(n_alpha):
+        alpha = (i + 0.5) * (math.pi / 4.0) / n_alpha
+        e, f = _family_chsh(_rotated_family(alpha), taus)
+        for tau, e_tau, f_tau in zip(taus, e.T.tolist(), f.tolist()):
+            cells.append(ConditionalChsh(alpha, tau, *e_tau, f_tau, classify_chsh(f_tau)))
+    return cells
 
 
 def scan_to_csv(cells: list[ConditionalChsh], path: str) -> None:

@@ -102,6 +102,25 @@ class TestCrypto:
         classes = {row[3] for row in rows[1:]}
         assert classes == {"local", "quantum_nonlocal", "superquantum"}
 
+    def test_scan_ignores_thread_variable(self, capsys, tmp_path, monkeypatch):
+        unset_path = tmp_path / "unset.csv"
+        monkeypatch.delenv("NONLOCALITY_LAB_THREADS", raising=False)
+        assert main(["crypto", "scan", "--grid", "4x4", "--out", str(unset_path)]) == 0
+        set_path = tmp_path / "set.csv"
+        monkeypatch.setenv("NONLOCALITY_LAB_THREADS", "abc")
+        assert main(["crypto", "scan", "--grid", "4x4", "--out", str(set_path)]) == 0
+        assert set_path.read_bytes() == unset_path.read_bytes()
+
+    def test_scan_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "x.csv"
+        code = main(["crypto", "scan", "--grid", "4x4", "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"nonlocality-lab: error: cannot write {out_path}: ")
+
     def test_scan_grid_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["crypto", "scan", "--grid", "banana"])

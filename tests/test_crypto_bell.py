@@ -3,12 +3,14 @@ closed forms, tau averages and the region scan."""
 
 import csv
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from nonlocality_lab.crypto_bell import (
     ConditionalChsh,
+    _arc_average,
     abs_sin_integral,
     chi_functions,
     closed_form_chsh,
@@ -255,6 +257,48 @@ class TestConditionalCorrelation:
             assert -1.0 <= exact <= 1.0
 
 
+class TestVanishingProjection:
+    # u is orthogonal to the whole circle tau, so u . lam(mu) vanishes
+    # identically and carries the constant sign sgn(0) = +1
+    CASES = ((np.array([1.0, 0.0, 0.0]), PI / 2), (np.array([0.0, 1.0, 0.0]), 0.0))
+
+    def test_factor_drops_out(self):
+        rng = np.random.default_rng(15)
+        for u, tau in self.CASES:
+            taus = np.array([tau, tau])
+            for _ in range(20):
+                w = random_unit(rng)
+                np.testing.assert_array_equal(
+                    _arc_average([u, w], taus), _arc_average([w], taus)
+                )
+
+    def test_alone_averages_to_one(self):
+        for u, tau in self.CASES:
+            assert _arc_average([u], [tau])[0] == 1.0
+            assert crypto_local_average(u, tau) == 1.0
+
+    def test_family_at_critical_alpha(self):
+        # at the critical alpha one rotated vector of each cross pair sits at
+        # polar angle gamma_3/2 = pi/2, on the x axis, orthogonal to the
+        # tau = pi/2 circle up to rounding; what is left is a one-vector
+        # average, which vanishes
+        result = conditional_chsh(critical_alpha(), PI / 2)
+        assert result.e_ab_prime == pytest.approx(0.0, abs=1e-12)
+        assert result.e_a_prime_b == pytest.approx(0.0, abs=1e-12)
+
+
+class TestArcKernelShapes:
+    def test_batched_matches_single_calls(self):
+        rng = np.random.default_rng(16)
+        vectors = np.array([[random_unit(rng) for _ in range(2)] for _ in range(3)])
+        taus = rng.uniform(0.0, PI, size=7)
+        batched = _arc_average(vectors, taus)
+        assert batched.shape == (3, 7)
+        for s, pair in enumerate(vectors):
+            for t, tau in enumerate(taus):
+                assert batched[s, t] == pytest.approx(_arc_average(pair, [tau])[0], abs=1e-15)
+
+
 class TestLocalAverage:
     def test_pole_direction(self):
         assert crypto_local_average(np.array([0.0, 0.0, 1.0]), 1.0) == pytest.approx(
@@ -464,17 +508,22 @@ class TestRegionScan:
         assert all(abs(cell.tau - PI / 2) > 1e-9 for cell in cells)
 
     def test_row_major_order(self):
-        cells = region_scan(3, 4)
-        alphas = [cell.alpha for cell in cells]
-        assert alphas == sorted(alphas, key=lambda v: round(v, 12)) or alphas[0] < alphas[-1]
-        assert [cell.tau for cell in cells[:4]] == sorted(
-            cell.tau for cell in cells[:4]
-        )
+        n_alpha, n_tau = 3, 4
+        cells = region_scan(n_alpha, n_tau)
+        assert len(cells) == n_alpha * n_tau
+        for i in range(n_alpha):
+            for j in range(n_tau):
+                cell = cells[i * n_tau + j]
+                assert cell.alpha == (i + 0.5) * (PI / 4.0) / n_alpha
+                assert cell.tau == (j + 0.5) * PI / n_tau
 
-    def test_parallel_matches_serial(self):
-        serial = region_scan(8, 8, workers=1)
-        parallel = region_scan(8, 8, workers=2)
-        assert serial == parallel
+    def test_cells_match_pointwise_chsh(self):
+        # one kernel call per alpha row must give the single-point values
+        for cell in region_scan(4, 5):
+            point = conditional_chsh(cell.alpha, cell.tau)
+            for got, want in zip(astuple(cell)[2:7], astuple(point)[2:7]):
+                assert got == pytest.approx(want, abs=1e-14)
+            assert cell.nonlocality == point.nonlocality
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
