@@ -49,6 +49,7 @@ from .crypto_bell import (
     mc_joint_correlation,
     model_outcomes,
     polar_from_standard,
+    quantum_chsh_reference,
     region_scan,
     rotated_settings,
     scan_to_csv,

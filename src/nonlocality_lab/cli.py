@@ -37,7 +37,7 @@ from .crypto_bell import (
     singlet_reference,
     tau_average_chsh,
 )
-from .entangled_ops import theorem_bound, verification_report
+from .entangled_ops import MAX_DIM, theorem_bound, verification_report
 from .pr_box import pr_chsh, pr_ideal_table, pr_table_from_hidden
 from .singlet_sim import estimate_singlet_correlation
 
@@ -351,8 +351,8 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
                 parser.error("grid dimensions must be >= 2")
             args.n_alpha, args.n_tau = n_alpha, n_tau
     elif args.command == "theorem":
-        if not 2 <= args.nmin <= args.nmax <= 16:
-            parser.error("need 2 <= nmin <= nmax <= 16")
+        if not 2 <= args.nmin <= args.nmax <= MAX_DIM:
+            parser.error(f"need 2 <= nmin <= nmax <= {MAX_DIM}")
         if args.trials < 1:
             parser.error("--trials must be >= 1")
 

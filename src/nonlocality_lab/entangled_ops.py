@@ -13,7 +13,7 @@ arbitrary observable into commuting spectrum-{-1,0,1} pieces, the planar
 unitary curve joining an observable to its negative, and the partition
 bound that forces conditional single-party averages of any quantum
 equivalent crypto-nonlocal model to vanish.  Dense linear algebra only;
-intended for small dimensions (tested to N = 6, supported to 16).
+intended for small dimensions (tested to N = 16).
 """
 
 from __future__ import annotations
@@ -64,9 +64,24 @@ def _check_hermitian(matrix: np.ndarray, atol: float = 1e-12) -> np.ndarray:
     arr = np.asarray(matrix, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("matrix has non-finite entries")
     if np.max(np.abs(arr - arr.conj().T)) > atol:
         raise ValueError("matrix is not Hermitian")
     return arr
+
+
+def _check_coords(coords: np.ndarray) -> tuple[np.ndarray, int]:
+    """A finite length-N^2 coordinate vector and its dimension N."""
+    arr = np.asarray(coords, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError(f"expected a coordinate vector, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("coordinate vector has non-finite entries")
+    n = math.isqrt(arr.size)
+    if n * n != arr.size:
+        raise ValueError(f"coordinate vector length {arr.size} is not a square")
+    return arr, _check_dim(n)
 
 
 @dataclass(frozen=True)
@@ -103,26 +118,26 @@ def transpose_partner(matrix: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=MAX_DIM)
-def _operator_basis_cached(n: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    ops: list[np.ndarray] = []
-    for i in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        m[i, i] = math.sqrt(n)
-        ops.append(m)
+def _basis_stacks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (N^2, N, N) stacks of the F basis and its partners G."""
+    f = np.zeros((n * n, n, n), dtype=complex)
+    diag = np.arange(n)
+    f[diag, diag, diag] = math.sqrt(n)
+    i, j = np.triu_indices(n, k=1)
+    sym = n + 2 * np.arange(i.size)
     scale = math.sqrt(n / 2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            sym = np.zeros((n, n), dtype=complex)
-            sym[i, j] = sym[j, i] = scale
-            ops.append(sym)
-            antisym = np.zeros((n, n), dtype=complex)
-            antisym[i, j] = 1.0j * scale
-            antisym[j, i] = -1.0j * scale
-            ops.append(antisym)
-    partners = [m.T.copy() for m in ops]
-    for m in ops + partners:
-        m.flags.writeable = False
-    return tuple(ops), tuple(partners)
+    f[sym, i, j] = f[sym, j, i] = scale
+    f[sym + 1, i, j] = 1.0j * scale
+    f[sym + 1, j, i] = -1.0j * scale
+    g = f.transpose(0, 2, 1).copy()
+    f.flags.writeable = g.flags.writeable = False
+    return f, g
+
+
+def _combine(coords: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_r coords_r stack_r for an (N^2, N, N) stack."""
+    n = stack.shape[1]
+    return (coords @ stack.reshape(n * n, n * n)).reshape(n, n)
 
 
 def operator_basis(n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -136,34 +151,24 @@ def operator_basis(n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     coordinate vectors Euclidean dot products.  For N = 2 this is not the
     Pauli expansion: the diagonal members are projectors, not I and sigma_z.
 
-    The returned arrays are cached and read-only.
+    The returned arrays are read-only views into one cached stack per N.
     """
-    _check_dim(n)
-    ops, partners = _operator_basis_cached(n)
-    return list(ops), list(partners)
+    basis, partners = _basis_stacks(_check_dim(n))
+    return list(basis), list(partners)
 
 
 def observable_from_coords(coords: np.ndarray) -> np.ndarray:
     """Hermitian operator A = sum_r coords_r F_r from an N^2 coordinate vector."""
-    coords = np.asarray(coords, dtype=float)
-    n = math.isqrt(coords.size)
-    if n * n != coords.size:
-        raise ValueError(f"coordinate vector length {coords.size} is not a square")
-    _check_dim(n)
-    basis, _ = operator_basis(n)
-    out = np.zeros((n, n), dtype=complex)
-    for c, op in zip(coords, basis):
-        out += c * op
-    return out
+    coords, n = _check_coords(coords)
+    return _combine(coords, _basis_stacks(n)[0])
 
 
 def coords_from_observable(matrix: np.ndarray) -> np.ndarray:
     """Coordinates of a Hermitian operator over the F basis: Tr(F_r A) / N."""
     arr = _check_hermitian(matrix)
-    n = arr.shape[0]
-    _check_dim(n)
-    basis, _ = operator_basis(n)
-    return np.array([np.trace(op @ arr).real / n for op in basis])
+    n = _check_dim(arr.shape[0])
+    basis, _ = _basis_stacks(n)
+    return (basis.reshape(n * n, n * n) @ arr.T.ravel()).real / n
 
 
 @lru_cache(maxsize=MAX_DIM)
@@ -173,36 +178,44 @@ def _state_vector(n: int) -> np.ndarray:
     return amp
 
 
+def _state_matrix(n: int) -> np.ndarray:
+    """The amplitudes as the N x N matrix Psi, with psi = vec(Psi) row-major.
+
+    Then (A (x) B) psi = vec(A Psi B^T), so <psi| A (x) B |psi> is the
+    Frobenius product of Psi with A Psi B^T: O(N^3), no N^2 x N^2 matrix.
+    """
+    return _state_vector(n).reshape(n, n)
+
+
 def joint_expectation(a_coords: np.ndarray, b_coords: np.ndarray) -> float:
-    """<psi| A(a) (x) B(b) |psi>, computed densely; equals a . b."""
-    a_coords = np.asarray(a_coords, dtype=float)
-    b_coords = np.asarray(b_coords, dtype=float)
+    """<psi| A(a) (x) B(b) |psi>; equals a . b.
+
+    Computed from the state with the reshape identity
+    (A (x) B) vec(Psi) = vec(A Psi B^T): the sum of conj(Psi) * (A Psi B^T).
+    """
+    a_coords, n = _check_coords(a_coords)
+    b_coords, _ = _check_coords(b_coords)
     if a_coords.shape != b_coords.shape:
         raise ValueError("coordinate vectors must have matching length")
-    n = math.isqrt(a_coords.size)
-    if n * n != a_coords.size:
-        raise ValueError(f"coordinate vector length {a_coords.size} is not a square")
-    basis, partners = operator_basis(n)
-    a_op = sum(c * op for c, op in zip(a_coords, basis))
-    b_op = sum(c * op for c, op in zip(b_coords, partners))
-    psi = _state_vector(n)
-    return float(np.real(psi.conj() @ (np.kron(a_op, b_op) @ psi)))
+    basis, partners = _basis_stacks(n)
+    a_op = _combine(a_coords, basis)
+    b_op = _combine(b_coords, partners)
+    psi = _state_matrix(n)
+    return float(np.vdot(psi, a_op @ psi @ b_op.T).real)
 
 
 def single_expectation(a_coords: np.ndarray) -> float:
     """<psi| A(a) (x) I |psi> = Tr A / N."""
-    a_op = observable_from_coords(np.asarray(a_coords, dtype=float))
-    n = a_op.shape[0]
-    psi = _state_vector(n)
-    return float(np.real(psi.conj() @ (np.kron(a_op, np.eye(n)) @ psi)))
+    a_op = observable_from_coords(a_coords)
+    psi = _state_matrix(a_op.shape[0])
+    return float(np.vdot(psi, a_op @ psi).real)
 
 
 def square_expectation(a_coords: np.ndarray) -> float:
     """<psi| A(a)^2 (x) I |psi>; equals ||a||^2."""
-    a_op = observable_from_coords(np.asarray(a_coords, dtype=float))
-    n = a_op.shape[0]
-    psi = _state_vector(n)
-    return float(np.real(psi.conj() @ (np.kron(a_op @ a_op, np.eye(n)) @ psi)))
+    a_op = observable_from_coords(a_coords)
+    psi = _state_matrix(a_op.shape[0])
+    return float(np.vdot(psi, a_op @ (a_op @ psi)).real)
 
 
 @dataclass(frozen=True)
@@ -445,26 +458,29 @@ def verification_report(
     """
     if not 2 <= n_min <= n_max <= MAX_DIM:
         raise ValueError(f"need 2 <= n_min <= n_max <= {MAX_DIM}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     dims: dict[int, dict[str, float]] = {}
     for n in range(n_min, n_max + 1):
         res = {key: 0.0 for key in REPORT_TOLERANCES}
-        psi = _state_vector(n)
-        basis, partners = operator_basis(n)
+        psi = _state_matrix(n)
+        basis, partners = _basis_stacks(n)
 
+        # <psi| F_r (x) G_s |psi> = sum (F_r Psi) * (conj(Psi) G_s), one row r
+        # at a time so no N^2 x N^2 complex matrix is ever held
+        right = (psi.conj() @ partners).reshape(n * n, n * n)
         gram = np.empty((n * n, n * n))
         for r in range(n * n):
-            for s in range(n * n):
-                gram[r, s] = np.real(
-                    psi.conj() @ (np.kron(basis[r], partners[s]) @ psi)
-                )
+            gram[r] = (right @ (basis[r] @ psi).ravel()).real
         res["basis_orthonormality"] = float(np.max(np.abs(gram - np.eye(n * n))))
 
         identity = np.eye(n)
         for _ in range(trials):
             x = _random_hermitian(n, rng)
-            lhs = np.kron(x, identity) @ psi
-            rhs = np.kron(identity, transpose_partner(x)) @ psi
+            # (X (x) I) psi = vec(X Psi) and (I (x) X^T) psi = vec(Psi X)
+            lhs = x @ psi
+            rhs = psi @ transpose_partner(x).T
             res["transpose_identity"] = max(
                 res["transpose_identity"], float(np.max(np.abs(lhs - rhs)))
             )

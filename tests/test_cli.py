@@ -7,6 +7,7 @@ import math
 import pytest
 
 from nonlocality_lab.cli import main
+from nonlocality_lab.entangled_ops import MAX_DIM
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +158,15 @@ class TestTheorem:
         with pytest.raises(SystemExit) as excinfo:
             main(["theorem", "--nmin", "7", "--nmax", "3"])
         assert excinfo.value.code == 2
+
+    def test_range_limit_is_max_dim(self, capsys):
+        top = str(MAX_DIM)
+        code, _ = run_cli(capsys, "theorem", "--nmin", top, "--nmax", top, "--trials", "1")
+        assert code == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["theorem", "--nmin", "2", "--nmax", str(MAX_DIM + 1)])
+        assert excinfo.value.code == 2
+        assert f"nmax <= {MAX_DIM}" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -171,6 +171,77 @@ class TestExpectations:
             observable_from_coords(np.zeros(5))
 
 
+def dense_expectation(op, n):
+    """<psi| op |psi> with the full N^2 x N^2 operator (test oracle)."""
+    psi = make_schmidt_state(n).amplitudes
+    return float(np.real(psi.conj() @ (op @ psi)))
+
+
+class TestDenseKronOracle:
+    """The reshape-identity expectations against dense np.kron products."""
+
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_joint(self, n):
+        rng = np.random.default_rng(50 + n)
+        basis, partners = operator_basis(n)
+        for _ in range(5):
+            a = rng.normal(size=n * n)
+            b = rng.normal(size=n * n)
+            a_op = sum(c * op for c, op in zip(a, basis))
+            b_op = sum(c * op for c, op in zip(b, partners))
+            dense = dense_expectation(np.kron(a_op, b_op), n)
+            assert abs(joint_expectation(a, b) - dense) < 1e-12
+
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_single_and_square(self, n):
+        rng = np.random.default_rng(60 + n)
+        for _ in range(5):
+            a = rng.normal(size=n * n)
+            a_op = observable_from_coords(a)
+            single = dense_expectation(np.kron(a_op, np.eye(n)), n)
+            square = dense_expectation(np.kron(a_op @ a_op, np.eye(n)), n)
+            assert abs(single_expectation(a) - single) < 1e-12
+            assert abs(square_expectation(a) - square) < 1e-12
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_matrix(self, bad):
+        for matrix in (np.diag([bad, 1.0, -1.0]), np.array([[0.0, bad], [bad, 0.0]])):
+            for fn in (coords_from_observable, decompose_observable, kernel_split):
+                with pytest.raises(ValueError, match="non-finite"):
+                    fn(matrix)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_coordinates(self, bad):
+        coords = np.zeros(9)
+        coords[4] = bad
+        for fn in (observable_from_coords, single_expectation, square_expectation):
+            with pytest.raises(ValueError, match="non-finite"):
+                fn(coords)
+        with pytest.raises(ValueError, match="non-finite"):
+            joint_expectation(coords, np.zeros(9))
+        with pytest.raises(ValueError, match="non-finite"):
+            joint_expectation(np.zeros(9), coords)
+        with pytest.raises(ValueError, match="non-finite"):
+            curve_point(coords, 0.5)
+
+    def test_coordinates_must_be_a_vector(self):
+        with pytest.raises(ValueError, match="coordinate vector"):
+            observable_from_coords(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="coordinate vector"):
+            joint_expectation(np.zeros((2, 2)), np.zeros((2, 2)))
+
+    def test_dimension_out_of_range(self):
+        with pytest.raises(ValueError, match="dimension"):
+            observable_from_coords(np.zeros(17 * 17))
+        with pytest.raises(ValueError, match="dimension"):
+            joint_expectation(np.zeros(1), np.zeros(1))
+
+
 class TestDecomposition:
     def test_identity(self):
         decomp = decompose_observable(np.eye(3))
@@ -362,3 +433,15 @@ class TestVerificationReport:
             verification_report(3, 2)
         with pytest.raises(ValueError):
             verification_report(2, 40)
+
+    @pytest.mark.parametrize("trials", (0, -1))
+    def test_rejects_no_trials(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            verification_report(2, 3, trials=trials)
+
+    def test_largest_dimension_passes(self):
+        report = verification_report(16, 16, trials=2)
+        assert report["passed"]
+        assert set(report["dimensions"]) == {16}
+        for key, tol in report["tolerances"].items():
+            assert report["dimensions"][16][key] <= tol
