@@ -10,8 +10,11 @@ One executable, four subcommands:
 Exit codes: 0 success, 1 verification failure, 2 usage error.  A
 ``crypto scan --out`` path that cannot be written is a usage error: one
 line ``nonlocality-lab: error: cannot write <path>: <reason>`` goes to
-stderr.  All randomness derives from --seed through named substreams, so
-identical invocations produce byte-identical output.
+stderr.  ``--json`` output is strict JSON: a value with no finite result
+(the closed forms at their singular points) is written as ``null``, never
+as a bare ``NaN`` or ``Infinity``.  All randomness derives from --seed
+through named substreams, so identical invocations produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -49,6 +52,14 @@ def _random_direction(rng: np.random.Generator) -> np.ndarray:
     phi = rng.uniform(0.0, 2.0 * math.pi)
     r = math.sqrt(1.0 - z * z)
     return np.array([r * math.cos(phi), r * math.sin(phi), z])
+
+
+def _print_json(payload: dict) -> None:
+    print(json.dumps(payload, indent=2, allow_nan=False))
+
+
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +101,7 @@ def _cmd_prbox(args: argparse.Namespace) -> int:
             "deterministic_slices_oi_not_pi": slices_ok,
             "ok": ok,
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print("ideal PR box P(a,b|x,y), rows in (a,b) = 00,01,10,11 order:")
         for x in (0, 1):
@@ -147,7 +158,7 @@ def _cmd_singlet(args: argparse.Namespace) -> int:
             }
         )
     if args.json:
-        print(json.dumps({"pairs": records, "ok": all_ok}, indent=2))
+        _print_json({"pairs": records, "ok": all_ok})
     else:
         print(f"{'a.b':>10} {'e_hat':>10} {'-a.b':>10} {'stderr':>10}  verdict (4 sigma, 0.01 floor)")
         for rec in records:
@@ -181,17 +192,17 @@ def _cmd_crypto_eval(args: argparse.Namespace) -> int:
             "f": exact.f,
             "class": exact.nonlocality.value,
             "closed_form": {
-                "printed": comparison.printed_f,
-                "normalized": comparison.normalized_f,
+                "printed": _finite_or_none(comparison.printed_f),
+                "normalized": _finite_or_none(comparison.normalized_f),
             },
             "discrepancy": {
-                "printed": comparison.printed_max_dev,
-                "normalized": comparison.normalized_max_dev,
+                "printed": _finite_or_none(comparison.printed_max_dev),
+                "normalized": _finite_or_none(comparison.normalized_max_dev),
                 "matching_variant": comparison.matching_variant,
                 "singular": comparison.singular,
             },
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(f"alpha = {exact.alpha!r}, tau = {exact.tau!r}")
         print(
@@ -259,7 +270,7 @@ def _cmd_theorem(args: argparse.Namespace) -> int:
             "partition_bound": {str(n): b for n, b in bounds.items()},
             "passed": report["passed"],
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         tolerances = report["tolerances"]
         for n, residuals in report["dimensions"].items():

@@ -81,8 +81,8 @@ class BoxTable:
     """Conditional outcome distribution P(a, b | x, y), all indices binary.
 
     The table is stored as a read-only array of shape (2, 2, 2, 2) indexed
-    [x, y, a, b].  Construction validates that every entry lies in [0, 1]
-    and that each setting row sums to 1 within ``ATOL``.
+    [x, y, a, b].  Construction validates that every entry is finite and lies
+    in [0, 1] and that each setting row sums to 1 within ``ATOL``.
     """
 
     __slots__ = ("_probs",)
@@ -91,8 +91,8 @@ class BoxTable:
         arr = np.asarray(probs, dtype=float)
         if arr.shape != (2, 2, 2, 2):
             raise ValueError(f"expected shape (2, 2, 2, 2), got {arr.shape}")
-        if np.any(arr < -ATOL) or np.any(arr > 1.0 + ATOL):
-            raise ValueError("probabilities must lie in [0, 1]")
+        if not np.all((arr >= -ATOL) & (arr <= 1.0 + ATOL)):
+            raise ValueError("probabilities must be finite and lie in [0, 1]")
         row_sums = arr.sum(axis=(2, 3))
         if np.any(np.abs(row_sums - 1.0) > ATOL):
             raise ValueError(f"setting rows must sum to 1, got {row_sums!r}")
@@ -238,21 +238,9 @@ def chsh_value(corr: CorrelationSet) -> ChshReport:
 
 
 def check_no_signaling(table: BoxTable, atol: float = ATOL) -> NoSignalingResult:
-    """Marginals of each party must not depend on the remote setting."""
-    deviation = 0.0
-    for x in BITS:
-        for a in BITS:
-            deviation = max(
-                deviation,
-                abs(table.marginal_a(x, 0, a) - table.marginal_a(x, 1, a)),
-            )
-    for y in BITS:
-        for b in BITS:
-            deviation = max(
-                deviation,
-                abs(table.marginal_b(0, y, b) - table.marginal_b(1, y, b)),
-            )
-    return NoSignalingResult(ok=deviation <= atol, max_deviation=deviation)
+    """No marginal may depend on the remote setting: the PI scan, no witness."""
+    result = check_parameter_independence(table, atol)
+    return NoSignalingResult(ok=result.ok, max_deviation=result.max_deviation)
 
 
 def check_outcome_independence(
@@ -304,27 +292,22 @@ def check_parameter_independence(
     remote setting (the no-signaling condition), but it additionally reports
     a witness for the first violating marginal.
     """
+    # marginals indexed [own setting, remote setting, own outcome]
+    marginals = {
+        "a": table.probs.sum(axis=3),
+        "b": table.probs.sum(axis=2).transpose(1, 0, 2),
+    }
     witness = None
     deviation = 0.0
-    for x in BITS:
-        for a in BITS:
-            p0 = table.marginal_a(x, 0, a)
-            p1 = table.marginal_a(x, 1, a)
-            gap = abs(p0 - p1)
-            deviation = max(deviation, gap)
-            if gap > atol and witness is None:
-                witness = ParameterWitness("a", x, a, p0, p1)
-    for y in BITS:
-        for b in BITS:
-            p0 = table.marginal_b(0, y, b)
-            p1 = table.marginal_b(1, y, b)
-            gap = abs(p0 - p1)
-            deviation = max(deviation, gap)
-            if gap > atol and witness is None:
-                witness = ParameterWitness("b", y, b, p0, p1)
-    return IndependenceResult(
-        ok=witness is None, max_deviation=deviation, witness=witness
-    )
+    for party, marginal in marginals.items():
+        for setting in BITS:
+            for outcome in BITS:
+                p0, p1 = (float(p) for p in marginal[setting, :, outcome])
+                gap = abs(p0 - p1)
+                deviation = max(deviation, gap)
+                if gap > atol and witness is None:
+                    witness = ParameterWitness(party, setting, outcome, p0, p1)
+    return IndependenceResult(ok=witness is None, max_deviation=deviation, witness=witness)
 
 
 def locality_check(table: BoxTable, atol: float = ATOL) -> bool:
@@ -334,12 +317,8 @@ def locality_check(table: BoxTable, atol: float = ATOL) -> bool:
     if the table factorizes at all, these are the factors.  Equivalent to
     the conjunction of outcome and parameter independence.
     """
-    pa = np.array([[table.marginal_a(x, 0, a) for a in BITS] for x in BITS])
-    pb = np.array([[table.marginal_b(0, y, b) for b in BITS] for y in BITS])
-    for x in BITS:
-        for y in BITS:
-            for a in BITS:
-                for b in BITS:
-                    if abs(table.prob(x, y, a, b) - pa[x, a] * pb[y, b]) > atol:
-                        return False
-    return True
+    probs = table.probs
+    pa = probs[:, 0].sum(axis=2)  # P(a | x), indexed [x, a]
+    pb = probs[0].sum(axis=1)  # P(b | y), indexed [y, b]
+    product = pa[:, None, :, None] * pb[None, :, None, :]
+    return bool(np.all(np.abs(probs - product) <= atol))

@@ -26,10 +26,13 @@ a_hat.lam(mu) is a pure cosine with exactly two roots, so the integrand is
 piecewise +-1 on at most four arcs and |sin mu| integrates in closed form on
 each.  One numpy kernel does this for a whole array of tau values and a
 stack of vector sets at once; every correlation, CHSH value, tau average and
-scan row in this module goes through it.  A dense Riemann sum is kept in the
-test suite as an independent cross-check; closed-form expressions (see
-``chi_functions``) are evaluated both as printed and in a normalized variant
-and compared against the exact integrator, never trusted over it.
+scan row in this module goes through it.  The tau averages are one kernel
+call each, on the nodes of a fixed Gauss-Legendre rule graded geometrically
+toward the tau where the integrand has a kink or a boundary layer
+(``_tau_rule``).  A dense Riemann sum is kept in the test suite as an
+independent cross-check; closed-form expressions (see ``chi_functions``)
+are evaluated both as printed and in a normalized variant and compared
+against the exact integrator, never trusted over it.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .correlations import NonlocalityClass, classify_chsh
 from .singlet_sim import SphereSampler, as_unit_vector, sgn
@@ -499,8 +501,39 @@ def quantum_chsh_reference(alpha: float) -> float:
     return e[0] + e[1] + e[2] - e[3]
 
 
-def tau_average_correlation(a, b, epsabs: float = 1e-10) -> float:
-    """(1/pi) * int_0^pi E_tau(a, b) dtau by adaptive quadrature.
+#: The tau rule: cells that halve TAU_LEVELS times toward both ends of each
+#: interval between breakpoints, with TAU_ORDER Gauss-Legendre nodes per cell.
+TAU_LEVELS = 26
+TAU_ORDER = 12
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(TAU_ORDER)
+
+
+def _tau_rule(vectors) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights for int_0^pi g(tau) dtau, g the ``_arc_average`` of
+    the vector stack ``vectors`` (..., k, 3).
+
+    g is smooth between the breakpoints 0, pi, tau_v = azimuth(v) + pi/2 for
+    each v, and azimuth(u x v) for each pair u, v of a set, where their roots
+    cross (all mod pi).  Near tau_v the root of v swings by pi within a layer
+    |tau - tau_v| ~ |v_z| / |v_xy| of any width, hence the geometric mesh
+    (Davis & Rabinowitz 1984; Schwab 1998).
+    """
+    v = np.asarray(vectors, dtype=float)
+    i, j = np.triu_indices(v.shape[-2], 1)
+    crosses = np.cross(v[..., i, :], v[..., j, :])
+    orthogonal = np.arctan2(v[..., 1], v[..., 0]).ravel() + math.pi / 2.0
+    crossing = np.arctan2(crosses[..., 1], crosses[..., 0]).ravel()
+    breaks = np.unique(np.concatenate([[0.0, math.pi], orthogonal % math.pi, crossing % math.pi]))
+    half = np.concatenate([[0.0], 0.5 ** np.arange(TAU_LEVELS, 0, -1)])  # 0, 2**-L, ..., 1/2
+    unit = np.concatenate([half, 1.0 - half[-2::-1]])  # cell edges on [0, 1]
+    edges = breaks[:-1, None] + np.diff(breaks)[:, None] * unit  # (intervals, cells + 1)
+    lo, width = edges[:, :-1, None], np.diff(edges)[..., None]
+    nodes = lo + width * (_GAUSS_NODES + 1.0) / 2.0
+    return nodes.ravel(), (width * _GAUSS_WEIGHTS / 2.0).ravel()
+
+
+def tau_average_correlation(a, b) -> float:
+    """(1/pi) * int_0^pi E_tau(a, b) dtau by the graded rule ``_tau_rule``.
 
     tau is uniform on [0, pi) with density 1/pi (the |sin mu| factor of the
     chart carries the whole surface weight); the average must reproduce the
@@ -508,23 +541,15 @@ def tau_average_correlation(a, b, epsabs: float = 1e-10) -> float:
     """
     pair = rotated_settings(a, b)
     vectors = [pair.a_hat, pair.b_hat]
-
-    def integrand(tau: float) -> float:
-        return -float(_arc_average(vectors, [tau])[0])
-
-    value, _ = quad(integrand, 0.0, math.pi, points=[math.pi / 2.0], limit=200, epsabs=epsabs)
-    return value / math.pi
+    taus, weights = _tau_rule(vectors)
+    return -float(_arc_average(vectors, taus) @ weights) / math.pi
 
 
-def tau_average_chsh(alpha: float, epsabs: float = 1e-10) -> float:
-    """(1/pi) * int_0^pi F_tau(alpha) dtau over the exact-arc integrand."""
+def tau_average_chsh(alpha: float) -> float:
+    """(1/pi) * int_0^pi F_tau(alpha) dtau by the graded rule ``_tau_rule``."""
     pairs = _rotated_family(alpha)
-
-    def integrand(tau: float) -> float:
-        return float(_family_chsh(pairs, [tau])[1][0])
-
-    value, _ = quad(integrand, 0.0, math.pi, points=[math.pi / 2.0], limit=200, epsabs=epsabs)
-    return value / math.pi
+    taus, weights = _tau_rule(pairs)
+    return float(_family_chsh(pairs, taus)[1] @ weights) / math.pi
 
 
 def region_scan(n_alpha: int = 200, n_tau: int = 200) -> list[ConditionalChsh]:

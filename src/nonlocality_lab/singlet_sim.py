@@ -41,10 +41,10 @@ def sgn(r: float) -> int:
 
 
 def as_unit_vector(v, atol: float = 1e-9) -> np.ndarray:
-    """Validate and return a 3-vector of unit length."""
+    """Validate and return a finite 3-vector of unit length."""
     arr = np.asarray(v, dtype=float).reshape(3)
-    if abs(arr @ arr - 1.0) > atol:
-        raise ValueError(f"expected a unit vector, got squared norm {arr @ arr}")
+    if not np.all(np.isfinite(arr)) or abs(arr @ arr - 1.0) > atol:
+        raise ValueError(f"expected a finite unit vector, got squared norm {arr @ arr}")
     return arr
 
 

@@ -3,11 +3,24 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from nonlocality_lab.cli import main
 from nonlocality_lab.entangled_ops import MAX_DIM
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def run_cli(capsys, *argv):
@@ -127,6 +140,25 @@ class TestCrypto:
             main(["crypto", "scan", "--grid", "banana"])
         assert excinfo.value.code == 2
 
+    def test_tau_average_in_old_defect_window(self, capsys):
+        argv = ("crypto", "tau-average", "--alpha", "0.5248988421709102")
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert float(out.splitlines()[2].split("=")[1]) <= 1e-9
+        assert run_cli(capsys, *argv) == (code, out)
+
+    def test_eval_json_singular_point_is_strict(self, capsys):
+        code, out = run_cli(
+            capsys, "crypto", "eval", "--alpha", repr(math.pi / 6), "--tau", repr(math.pi / 2),
+            "--json",
+        )
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["discrepancy"]["singular"] is True
+        assert payload["closed_form"] == {"printed": None, "normalized": None}
+        assert payload["discrepancy"]["printed"] is None
+        assert payload["discrepancy"]["normalized"] is None
+
     def test_tau_average(self, capsys):
         code, out = run_cli(capsys, "crypto", "tau-average", "--alpha", "0.3926990817")
         assert code == 0
@@ -167,6 +199,33 @@ class TestTheorem:
             main(["theorem", "--nmin", "2", "--nmax", str(MAX_DIM + 1)])
         assert excinfo.value.code == 2
         assert f"nmax <= {MAX_DIM}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prbox", "--json"],
+        ["singlet", "--n", "100", "--pairs", "2", "--json"],
+        ["crypto", "eval", "--alpha", "0.5", "--tau", "0.7", "--json"],
+        ["theorem", "--nmin", "2", "--nmax", "2", "--trials", "1", "--json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_output_is_strict(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert isinstance(strict_json(out), dict)
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, nonlocality_lab.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 class TestUsage:

@@ -124,6 +124,21 @@ class TestBoxTable:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             BoxTable(probs)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_validation_non_finite(self, bad):
+        probs = np.full((2, 2, 2, 2), 0.25)
+        probs[1, 0, 1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            BoxTable(probs)
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_from_json_rejects_non_finite(self, bad):
+        obj = json.loads(uniform_table().to_json())
+        text = json.dumps(obj).replace("0.25", bad, 1)
+        assert bad in text
+        with pytest.raises(ValueError, match="finite"):
+            BoxTable.from_json(text)
+
     def test_validation_normalization(self):
         probs = np.full((2, 2, 2, 2), 0.3)
         with pytest.raises(ValueError, match="sum to 1"):

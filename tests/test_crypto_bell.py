@@ -9,8 +9,12 @@ import numpy as np
 import pytest
 
 from nonlocality_lab.crypto_bell import (
+    TAU_LEVELS,
+    TAU_ORDER,
     ConditionalChsh,
     _arc_average,
+    _rotated_family,
+    _tau_rule,
     abs_sin_integral,
     chi_functions,
     closed_form_chsh,
@@ -490,6 +494,75 @@ class TestTauAverages:
             a, b = random_unit(rng), random_unit(rng)
             average = tau_average_correlation(a, b)
             assert average == pytest.approx(singlet_reference(a, b), abs=1e-6)
+
+    def test_chsh_sweep_matches_quantum(self):
+        # around pi/6 a' and b' turn horizontal, so the layer at tau = pi/2
+        # narrows to zero width; the two spikes are alphas that trip an
+        # adaptive rule there
+        alphas = [
+            *np.linspace(0.5180, 0.5295, 2001),
+            0.4755896,
+            0.5622192,
+            PI / 6,
+            critical_alpha(),
+            *np.linspace(0.0, PI / 4, 101),
+        ]
+        gaps = [
+            abs(tau_average_chsh(a) - (-3.0 * math.cos(2 * a) + math.cos(6 * a)))
+            for a in alphas
+        ]
+        worst = int(np.argmax(gaps))
+        assert gaps[worst] <= 1e-9, f"alpha = {alphas[worst]!r}"
+
+    def test_pair_average_near_horizontal(self):
+        # a setting with |v_z| << |v_xy| puts a layer of width ~|v_z| at tau_v
+        rng = np.random.default_rng(15)
+
+        def near_horizontal(z):
+            phi = rng.uniform(0.0, 2.0 * PI)
+            v = np.array([math.cos(phi), math.sin(phi), z * rng.choice([-1.0, 1.0])])
+            return v / np.linalg.norm(v)
+
+        worst = 0.0
+        for z in np.logspace(-9, -2, 8):
+            for a, b in (
+                (near_horizontal(z), near_horizontal(z)),
+                (near_horizontal(z), random_unit(rng)),
+                (random_unit(rng), near_horizontal(z)),
+            ):
+                worst = max(worst, abs(tau_average_correlation(a, b) - singlet_reference(a, b)))
+        assert worst <= 1e-9
+
+    @pytest.mark.parametrize("gamma", [0.3, 1.0, 2.0, 3.0, PI - 1e-3, PI - 1e-6])
+    def test_coplanar_oracle(self, gamma):
+        # int_0^pi |cos t| / sqrt(cos^2 t + cot^2(gamma/2)) dt = gamma, so the
+        # tau average of 2|chi| - 1 for a pair at rotated angle gamma is
+        # 2 gamma / pi - 1, without reference to a.b
+        want = 2.0 * gamma / PI - 1.0
+        half = gamma / 2.0
+        rotated = [[math.sin(half), 0.0, math.cos(half)], [-math.sin(half), 0.0, math.cos(half)]]
+        taus, weights = _tau_rule(rotated)
+        cot = math.cos(half) / math.sin(half)
+        chi = np.cos(taus) / np.sqrt(np.cos(taus) ** 2 + cot**2)
+        assert float((2.0 * np.abs(chi) - 1.0) @ weights) / PI == pytest.approx(want, abs=1e-9)
+        # the same pair from unrotated settings, tilted toward the horizontal
+        omega = 2.0 * math.asin(math.sqrt(gamma / PI))
+        for tilt in (0.0, PI / 2 - 1e-3, PI / 2 - 1e-7):
+            c, s = math.cos(tilt), math.sin(tilt)
+            a = [math.sin(omega / 2), s * math.cos(omega / 2), c * math.cos(omega / 2)]
+            b = [-math.sin(omega / 2), s * math.cos(omega / 2), c * math.cos(omega / 2)]
+            assert rotated_settings(a, b).omega_hat == pytest.approx(gamma, abs=1e-12)
+            assert tau_average_correlation(a, b) == pytest.approx(want, abs=1e-9)
+
+    def test_rule_weights_cover_zero_to_pi(self):
+        taus, weights = _tau_rule(_rotated_family(0.3))
+        assert len(taus) == 2 * 2 * TAU_LEVELS * TAU_ORDER
+        assert np.all((taus > 0.0) & (taus < PI)) and np.all(weights > 0.0)
+        assert weights.sum() == pytest.approx(PI, abs=1e-14)
+
+    def test_non_finite_setting_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            tau_average_correlation([math.nan, 0.0, 0.0], [0.0, 0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------

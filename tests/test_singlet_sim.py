@@ -11,6 +11,7 @@ from nonlocality_lab._rng import substream
 from nonlocality_lab.singlet_sim import (
     SphereSampler,
     _sign_products,
+    as_unit_vector,
     estimate_singlet_correlation,
     sgn,
     singlet_round,
@@ -127,6 +128,13 @@ class TestEstimator:
     def test_requires_unit_vectors(self):
         with pytest.raises(ValueError):
             estimate_singlet_correlation([0, 0, 2], X, 10, 1)
+
+    @pytest.mark.parametrize(
+        "bad", [[math.nan, 0, 0], [0, math.inf, 0], [math.nan, math.nan, math.nan]]
+    )
+    def test_unit_vector_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            as_unit_vector(bad)
 
     def test_determinism(self):
         e1 = estimate_singlet_correlation(Z, X, 5000, 42)
