@@ -62,15 +62,12 @@ for alpha in (0.0, PI / 8, PI / 6, PI / 4):
 
 print()
 print("Scanning the (alpha, tau) rectangle on a 120x120 grid...")
-cells = region_scan(120, 120)
-counts = {}
-for cell in cells:
-    counts[cell.nonlocality.value] = counts.get(cell.nonlocality.value, 0) + 1
-peak = max(cells, key=lambda c: abs(c.f))
-for name, count in sorted(counts.items()):
-    print(f"  {name:<17} {count:>6} cells")
+scan = region_scan(120, 120)
+for cls, count in zip(scan.CLASSES, scan.class_counts()):
+    print(f"  {cls.value:<17} {count:>6} cells")
+peak = scan.peak()
 print(f"  peak |F| = {abs(peak.f):.4f} at alpha = {peak.alpha:.4f},"
       f" tau = {peak.tau:.4f}  (the PR corner)")
 
-scan_to_csv(cells, "region_scan_demo.csv")
+scan_to_csv(scan, "region_scan_demo.csv")
 print("  full grid written to region_scan_demo.csv (alpha,tau,f,class)")

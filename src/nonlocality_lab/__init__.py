@@ -34,6 +34,7 @@ from .crypto_bell import (
     ClosedFormComparison,
     ConditionalChsh,
     FourDirectionFamily,
+    RegionScan,
     RotatedPair,
     abs_sin_integral,
     chi_functions,

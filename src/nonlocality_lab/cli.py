@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -226,21 +227,19 @@ def _cmd_crypto_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_crypto_scan(args: argparse.Namespace) -> int:
-    cells = region_scan(args.n_alpha, args.n_tau)
+    scan = region_scan(args.n_alpha, args.n_tau)
     try:
-        scan_to_csv(cells, args.out)
+        scan_to_csv(scan, args.out)
     except OSError as exc:
         print(f"nonlocality-lab: error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return 2
-    counts: dict[str, int] = {}
-    for cell in cells:
-        counts[cell.nonlocality.value] = counts.get(cell.nonlocality.value, 0) + 1
-    peak = max(cells, key=lambda c: abs(c.f))
-    print(f"wrote {len(cells)} cells to {args.out}")
-    for name in ("local", "quantum_nonlocal", "superquantum"):
-        print(f"  {name}: {counts.get(name, 0)}")
+    counts = scan.class_counts().tolist()
+    peak = scan.peak()
+    print(f"wrote {len(scan)} cells to {args.out}")
+    for cls, count in zip(scan.CLASSES, counts):
+        print(f"  {cls.value}: {count}")
     print(f"max |f| = {abs(peak.f):.6f} at alpha = {peak.alpha:.6f}, tau = {peak.tau:.6f}")
-    return 0 if len(counts) == 3 else 1
+    return 0 if all(counts) else 1
 
 
 def _cmd_crypto_tau_average(args: argparse.Namespace) -> int:
@@ -338,26 +337,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    # argparse before Python 3.12 turns "--opt=--" into an empty list; no
+    # option here takes a list.
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     if args.command == "singlet":
         if args.n < 1:
             parser.error("--n must be >= 1")
         if args.pairs < 1:
             parser.error("--pairs must be >= 1")
     elif args.command == "crypto":
-        if args.crypto_command == "eval":
+        if args.crypto_command in ("eval", "tau-average"):
+            if not math.isfinite(args.alpha):
+                parser.error("--alpha must be finite")
             if not 0.0 <= args.alpha <= math.pi / 4.0:
                 parser.error("--alpha must lie in [0, pi/4]")
+        if args.crypto_command == "eval":
+            if not math.isfinite(args.tau):
+                parser.error("--tau must be finite")
             if not 0.0 <= args.tau < math.pi:
                 parser.error("--tau must lie in [0, pi)")
-        elif args.crypto_command == "tau-average":
-            if not 0.0 <= args.alpha <= math.pi / 4.0:
-                parser.error("--alpha must lie in [0, pi/4]")
         elif args.crypto_command == "scan":
-            parts = args.grid.lower().split("x")
-            try:
-                n_alpha, n_tau = (int(p) for p in parts)
-            except ValueError:
+            match = re.fullmatch(r"([0-9]+)x([0-9]+)", args.grid.lower())
+            if match is None:
                 parser.error("--grid must look like 200x200")
+            n_alpha, n_tau = (int(group) for group in match.groups())
             if n_alpha < 2 or n_tau < 2:
                 parser.error("grid dimensions must be >= 2")
             args.n_alpha, args.n_tau = n_alpha, n_tau

@@ -26,25 +26,27 @@ a_hat.lam(mu) is a pure cosine with exactly two roots, so the integrand is
 piecewise +-1 on at most four arcs and |sin mu| integrates in closed form on
 each.  One numpy kernel does this for a whole array of tau values and a
 stack of vector sets at once; every correlation, CHSH value, tau average and
-scan row in this module goes through it.  The tau averages are one kernel
-call each, on the nodes of a fixed Gauss-Legendre rule graded geometrically
-toward the tau where the integrand has a kink or a boundary layer
-(``_tau_rule``).  A dense Riemann sum is kept in the test suite as an
-independent cross-check; closed-form expressions (see ``chi_functions``)
-are evaluated both as printed and in a normalized variant and compared
-against the exact integrator, never trusted over it.
+region scan in this module goes through it.  The scan stacks whole alpha
+rows into blocks of about 1.5k cells, one kernel call each, and returns its
+values as arrays (``RegionScan``) that ``scan_to_csv`` writes row by row.
+The tau averages are one kernel call each, on the nodes of a fixed
+Gauss-Legendre rule graded geometrically toward the tau where the integrand
+has a kink or a boundary layer (``_tau_rule``).  A dense Riemann sum is
+kept in the test suite as an independent cross-check; closed-form
+expressions (see ``chi_functions``) are evaluated both as printed and in a
+normalized variant and compared against the exact integrator, never trusted
+over it.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .correlations import NonlocalityClass, classify_chsh
+from .correlations import TSIRELSON_BOUND, NonlocalityClass, classify_chsh
 from .singlet_sim import SphereSampler, as_unit_vector, sgn
 
 __all__ = [
@@ -72,6 +74,7 @@ __all__ = [
     "quantum_chsh_reference",
     "tau_average_correlation",
     "tau_average_chsh",
+    "RegionScan",
     "region_scan",
     "scan_to_csv",
 ]
@@ -398,10 +401,11 @@ def _rotated_family(alpha: float) -> np.ndarray:
 
 
 def _family_chsh(pairs: np.ndarray, taus) -> tuple[np.ndarray, np.ndarray]:
-    """Exact-arc correlations, shape (4, T), and CHSH values, shape (T,), of
-    the stacked rotated pairs from ``_rotated_family``, in one kernel call."""
+    """Exact-arc correlations, shape (..., 4, T), and CHSH values, shape
+    (..., T), of rotated pairs stacked as by ``_rotated_family``, shape
+    (..., 4, 2, 3), in one kernel call."""
     e = -_arc_average(pairs, taus)
-    return e, e[0] + e[1] + e[2] - e[3]
+    return e, e[..., 0, :] + e[..., 1, :] + e[..., 2, :] - e[..., 3, :]
 
 
 def conditional_chsh(alpha: float, tau: float) -> ConditionalChsh:
@@ -552,33 +556,102 @@ def tau_average_chsh(alpha: float) -> float:
     return float(_family_chsh(pairs, taus)[1] @ weights) / math.pi
 
 
-def region_scan(n_alpha: int = 200, n_tau: int = 200) -> list[ConditionalChsh]:
+#: Cells per ``_arc_average`` call in ``region_scan``: whole alpha rows are
+#: stacked up to this many cells, and a longer row is one call by itself.
+_SCAN_BLOCK_CELLS = 1536
+
+
+@dataclass(frozen=True, eq=False)
+class RegionScan:
+    """Columnar result of ``region_scan`` on an n_alpha x n_tau grid.
+
+    ``alphas`` (n_alpha,) and ``taus`` (n_tau,) are the cell centers, ``e``
+    (n_alpha, 4, n_tau) the four correlations in CHSH order, ``f`` and
+    ``codes`` (n_alpha, n_tau) the CHSH values and their classes as indices
+    into ``CLASSES``.  ``len()`` is the cell count; iterating yields one
+    ``ConditionalChsh`` per cell in row-major order.
+    """
+
+    CLASSES = tuple(NonlocalityClass)
+
+    alphas: np.ndarray
+    taus: np.ndarray
+    e: np.ndarray
+    f: np.ndarray
+    codes: np.ndarray
+
+    def __len__(self) -> int:
+        return self.f.size
+
+    def __iter__(self):
+        taus = self.taus.tolist()
+        for alpha, e_row, f_row, code_row in zip(
+            self.alphas.tolist(), self.e, self.f.tolist(), self.codes.tolist()
+        ):
+            for tau, e_tau, f_tau, code in zip(taus, e_row.T.tolist(), f_row, code_row):
+                yield ConditionalChsh(alpha, tau, *e_tau, f_tau, self.CLASSES[code])
+
+    def class_counts(self) -> np.ndarray:
+        """Cells per class, in ``CLASSES`` order."""
+        return np.bincount(self.codes.ravel(), minlength=len(self.CLASSES))
+
+    def peak(self) -> ConditionalChsh:
+        """The first cell, in row-major order, of largest |f|."""
+        i, j = np.unravel_index(int(np.argmax(np.abs(self.f))), self.f.shape)
+        return ConditionalChsh(
+            float(self.alphas[i]),
+            float(self.taus[j]),
+            *self.e[i, :, j].tolist(),
+            float(self.f[i, j]),
+            self.CLASSES[self.codes[i, j]],
+        )
+
+
+def region_scan(n_alpha: int = 200, n_tau: int = 200) -> RegionScan:
     """Scan the (alpha, tau) rectangle [0, pi/4] x [0, pi) on cell centers.
 
     Cell centers keep the scan off the two isolated singular points of the
-    closed forms.  Cells come back row-major: cell i * n_tau + j has
-    alpha = (i + 1/2) (pi/4) / n_alpha and tau = (j + 1/2) pi / n_tau.  Each
-    alpha row is one kernel call over all n_tau values of tau.
+    closed forms.  Cell (i, j) has alpha = (i + 1/2) (pi/4) / n_alpha and
+    tau = (j + 1/2) pi / n_tau.  Whole alpha rows are stacked into one
+    kernel call of at most ``_SCAN_BLOCK_CELLS`` cells (a longer row is one
+    call).  The kernel works cell by cell, so every value is bit-identical
+    to one call per row, and so are the CSV bytes ``scan_to_csv`` writes.
+    Returns a columnar ``RegionScan``.
     """
     if n_alpha < 2 or n_tau < 2:
         raise ValueError("grid dimensions must be >= 2")
-    taus = [(j + 0.5) * math.pi / n_tau for j in range(n_tau)]
-    cells = []
-    for i in range(n_alpha):
-        alpha = (i + 0.5) * (math.pi / 4.0) / n_alpha
-        e, f = _family_chsh(_rotated_family(alpha), taus)
-        for tau, e_tau, f_tau in zip(taus, e.T.tolist(), f.tolist()):
-            cells.append(ConditionalChsh(alpha, tau, *e_tau, f_tau, classify_chsh(f_tau)))
-    return cells
+    alphas = (np.arange(n_alpha) + 0.5) * (math.pi / 4.0) / n_alpha
+    taus = (np.arange(n_tau) + 0.5) * math.pi / n_tau
+    rows = max(1, _SCAN_BLOCK_CELLS // n_tau)
+    e = np.empty((n_alpha, 4, n_tau))
+    f = np.empty((n_alpha, n_tau))
+    for start in range(0, n_alpha, rows):
+        stop = min(start + rows, n_alpha)
+        pairs = np.array([_rotated_family(alpha) for alpha in alphas[start:stop].tolist()])
+        e[start:stop], f[start:stop] = _family_chsh(pairs, taus)
+    abs_f = np.abs(f)  # classify_chsh's thresholds, both non-strict
+    codes = np.select([abs_f <= 2.0, abs_f <= TSIRELSON_BOUND], [0, 1], 2)
+    return RegionScan(alphas, taus, e, f, codes)
 
 
-def scan_to_csv(cells: list[ConditionalChsh], path: str) -> None:
-    """Write a scan as CSV with header alpha,tau,f,class.
+def scan_to_csv(scan: RegionScan, path: str) -> None:
+    """Write a scan as CSV with header alpha,tau,f,class, one line per cell
+    in row-major order.
 
-    Floats use round-trip decimal formatting (``repr``), '.' separator.
+    Floats use round-trip decimal formatting (``repr``), '.' separator, and
+    lines end in '\\r\\n', as ``csv.writer`` writes them with the default
+    dialect.  Each alpha row is one write.
     """
+    taus = [repr(tau) for tau in scan.taus.tolist()]
+    names = [cls.value for cls in scan.CLASSES]
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["alpha", "tau", "f", "class"])
-        for cell in cells:
-            writer.writerow([repr(cell.alpha), repr(cell.tau), repr(cell.f), cell.nonlocality.value])
+        handle.write("alpha,tau,f,class\r\n")
+        rows = zip(scan.alphas.tolist(), scan.f.tolist(), scan.codes.tolist())
+        for alpha, f_row, code_row in rows:
+            head = repr(alpha)
+            handle.write(
+                "".join(
+                    f"{head},{tau},{f!r},{names[code]}\r\n"
+                    for tau, f, code in zip(taus, f_row, code_row)
+                )
+            )

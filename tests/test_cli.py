@@ -1,19 +1,27 @@
 """Tests for the command-line front end."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nonlocality_lab.cli import main
 from nonlocality_lab.entangled_ops import MAX_DIM
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+GRID = re.compile(r"([0-9]+)x([0-9]+)")
+# near misses of GRID: separators int() accepts, signs, non-ASCII digits
+NEAR_GRID = "0123456789xX _+-.\n\u0663\uff13"
 
 
 def strict_json(text):
@@ -139,6 +147,66 @@ class TestCrypto:
         with pytest.raises(SystemExit) as excinfo:
             main(["crypto", "scan", "--grid", "banana"])
         assert excinfo.value.code == 2
+
+    @settings(max_examples=200)
+    @given(
+        st.one_of(st.text(), st.text(alphabet=NEAR_GRID, max_size=8)).filter(
+            lambda grid: GRID.fullmatch(grid.lower()) is None
+        )
+    )
+    def test_scan_grid_outside_pattern_is_usage_error(self, grid):
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), pytest.raises(SystemExit) as excinfo:
+            main(["crypto", "scan", f"--grid={grid}"])
+        assert excinfo.value.code == 2
+        if grid != "--":  # argparse itself rejects "--" before Python 3.12
+            assert stderr.getvalue().endswith("error: --grid must look like 200x200\n")
+
+    @pytest.mark.parametrize("grid", ["2_0x3", " 3x 3", "+3x3", "3x3 ", "\u0663x3", "\uff13x3"])
+    def test_scan_grid_int_literals_are_usage_errors(self, capsys, grid):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["crypto", "scan", f"--grid={grid}"])
+        assert excinfo.value.code == 2
+        assert "--grid must look like 200x200" in capsys.readouterr().err
+
+    @settings(max_examples=20, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(2, 3), st.integers(2, 3), st.integers(0, 2), st.sampled_from("xX"))
+    def test_scan_grid_in_pattern_runs(self, capsys, tmp_path, n_alpha, n_tau, zeros, sep):
+        grid = f"{'0' * zeros}{n_alpha}{sep}{n_tau}"
+        out_path = tmp_path / "grid.csv"
+        main(["crypto", "scan", "--grid", grid, "--out", str(out_path)])
+        assert capsys.readouterr().out.startswith(f"wrote {n_alpha * n_tau} cells to ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["crypto", "scan", "--grid=--"],
+            ["crypto", "eval", "--alpha=--", "--tau", "0.5"],
+            ["singlet", "--n=--"],
+        ],
+    )
+    def test_double_dash_value_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["crypto", "eval", "--alpha={}", "--tau", "0.5"], "alpha"),
+            (["crypto", "eval", "--alpha", "0.5", "--tau={}"], "tau"),
+            (["crypto", "tau-average", "--alpha={}"], "alpha"),
+        ],
+    )
+    def test_non_finite_angle_is_usage_error(self, capsys, argv, name, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main([arg.format(value) for arg in argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: --{name} must be finite\n")
+        assert "must lie in" not in err
 
     def test_tau_average_in_old_defect_window(self, capsys):
         argv = ("crypto", "tau-average", "--alpha", "0.5248988421709102")

@@ -8,11 +8,15 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from nonlocality_lab.correlations import classify_chsh
 from nonlocality_lab.crypto_bell import (
     TAU_LEVELS,
     TAU_ORDER,
+    _SCAN_BLOCK_CELLS,
     ConditionalChsh,
+    RegionScan,
     _arc_average,
+    _family_chsh,
     _rotated_family,
     _tau_rule,
     abs_sin_integral,
@@ -570,51 +574,91 @@ class TestTauAverages:
 # ---------------------------------------------------------------------------
 
 
+def oracle_scan_csv(n_alpha, n_tau, path):
+    """The scan and CSV on the per-row route: one ``_family_chsh`` call per
+    alpha row, one ``ConditionalChsh`` per cell and ``csv.writer`` with
+    ``repr``.  Returns the cells."""
+    taus = [(j + 0.5) * PI / n_tau for j in range(n_tau)]
+    cells = []
+    for i in range(n_alpha):
+        alpha = (i + 0.5) * (PI / 4.0) / n_alpha
+        e, f = _family_chsh(_rotated_family(alpha), taus)
+        for tau, e_tau, f_tau in zip(taus, e.T.tolist(), f.tolist()):
+            cells.append(ConditionalChsh(alpha, tau, *e_tau, f_tau, classify_chsh(f_tau)))
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["alpha", "tau", "f", "class"])
+        for cell in cells:
+            writer.writerow([repr(cell.alpha), repr(cell.tau), repr(cell.f), cell.nonlocality.value])
+    return cells
+
+
+BLOCK_SHAPES = [
+    (2, 5),  # fewest rows
+    (3, _SCAN_BLOCK_CELLS + 164),  # a row longer than one block
+    (2 * (_SCAN_BLOCK_CELLS // 7) + 1, 7),  # n_tau not dividing the block; one row past two blocks
+    (_SCAN_BLOCK_CELLS // 32 + 1, 32),  # n_tau dividing the block; one row past one block
+]
+
+
 class TestRegionScan:
     def test_small_grid_has_three_classes(self):
-        cells = region_scan(40, 40)
-        classes = {cell.nonlocality.value for cell in cells}
-        assert classes == {"local", "quantum_nonlocal", "superquantum"}
-        assert len(cells) == 1600
-        assert all(abs(cell.f) <= 4.0 for cell in cells)
+        scan = region_scan(40, 40)
+        assert isinstance(scan, RegionScan)
+        assert len(scan) == 1600
+        assert scan.class_counts().tolist() == [
+            sum(cell.nonlocality is cls for cell in scan) for cls in RegionScan.CLASSES
+        ]
+        assert all(scan.class_counts() > 0)
+        assert np.all(np.abs(scan.f) <= 4.0)
         # cell centers never sit on the singular line tau = pi/2
-        assert all(abs(cell.tau - PI / 2) > 1e-9 for cell in cells)
+        assert np.all(np.abs(scan.taus - PI / 2) > 1e-9)
 
     def test_row_major_order(self):
         n_alpha, n_tau = 3, 4
-        cells = region_scan(n_alpha, n_tau)
-        assert len(cells) == n_alpha * n_tau
+        scan = region_scan(n_alpha, n_tau)
+        cells = list(scan)
+        assert len(cells) == len(scan) == n_alpha * n_tau
+        assert scan.e.shape == (n_alpha, 4, n_tau)
+        assert scan.f.shape == scan.codes.shape == (n_alpha, n_tau)
         for i in range(n_alpha):
             for j in range(n_tau):
                 cell = cells[i * n_tau + j]
-                assert cell.alpha == (i + 0.5) * (PI / 4.0) / n_alpha
-                assert cell.tau == (j + 0.5) * PI / n_tau
+                assert cell.alpha == scan.alphas[i] == (i + 0.5) * (PI / 4.0) / n_alpha
+                assert cell.tau == scan.taus[j] == (j + 0.5) * PI / n_tau
+                assert cell.f == scan.f[i, j]
+                assert astuple(cell)[2:6] == tuple(scan.e[i, :, j])
 
     def test_cells_match_pointwise_chsh(self):
-        # one kernel call per alpha row must give the single-point values
+        # one kernel call per block of rows must give the single-point values
         for cell in region_scan(4, 5):
             point = conditional_chsh(cell.alpha, cell.tau)
             for got, want in zip(astuple(cell)[2:7], astuple(point)[2:7]):
                 assert got == pytest.approx(want, abs=1e-14)
             assert cell.nonlocality == point.nonlocality
 
+    def test_peak_is_first_largest_cell(self):
+        scan = region_scan(30, 30)
+        want = max(scan, key=lambda cell: abs(cell.f))
+        assert scan.peak() == want
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             region_scan(1, 10)
 
     def test_csv_format(self, tmp_path):
-        cells = region_scan(4, 4)
+        scan = region_scan(4, 4)
         path = tmp_path / "scan.csv"
-        scan_to_csv(cells, str(path))
+        scan_to_csv(scan, str(path))
         with open(path, newline="") as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == ["alpha", "tau", "f", "class"]
         assert len(rows) == 17
         # round-trip decimal formatting
         first = rows[1]
-        assert float(first[0]) == cells[0].alpha
-        assert float(first[2]) == cells[0].f
-        assert first[3] == cells[0].nonlocality.value
+        assert float(first[0]) == scan.alphas[0]
+        assert float(first[2]) == scan.f[0, 0]
+        assert first[3] == RegionScan.CLASSES[scan.codes[0, 0]].value
 
     def test_deterministic_bytes(self, tmp_path):
         path_a = tmp_path / "a.csv"
@@ -622,3 +666,17 @@ class TestRegionScan:
         scan_to_csv(region_scan(5, 5), str(path_a))
         scan_to_csv(region_scan(5, 5), str(path_b))
         assert path_a.read_bytes() == path_b.read_bytes()
+
+    @pytest.mark.parametrize("n_alpha, n_tau", BLOCK_SHAPES)
+    def test_blocked_scan_matches_per_row_oracle_bytes(self, tmp_path, n_alpha, n_tau):
+        want_path, got_path = tmp_path / "oracle.csv", tmp_path / "scan.csv"
+        cells = oracle_scan_csv(n_alpha, n_tau, want_path)
+        scan = region_scan(n_alpha, n_tau)
+        scan_to_csv(scan, str(got_path))
+        assert got_path.read_bytes() == want_path.read_bytes()
+        assert len(scan) == n_alpha * n_tau
+        assert list(scan) == cells
+        codes = scan.codes.ravel().tolist()
+        assert [RegionScan.CLASSES[code] for code in codes] == [
+            classify_chsh(f) for f in scan.f.ravel().tolist()
+        ]
