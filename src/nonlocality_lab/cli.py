@@ -10,11 +10,11 @@ One executable, four subcommands:
 Exit codes: 0 success, 1 verification failure, 2 usage error.  A
 ``crypto scan --out`` path that cannot be written is a usage error: one
 line ``nonlocality-lab: error: cannot write <path>: <reason>`` goes to
-stderr.  ``--json`` output is strict JSON: a value with no finite result
-(the closed forms at their singular points) is written as ``null``, never
-as a bare ``NaN`` or ``Infinity``.  All randomness derives from --seed
-through named substreams, so identical invocations produce byte-identical
-output.
+stderr.  A scan with an empty class exits 1 and names it on stderr.
+``--json`` output is strict JSON: a value with no finite result (the closed
+forms at their singular points) is written as ``null``, never as a bare
+``NaN`` or ``Infinity``.  All randomness derives from --seed through named
+substreams, so identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -239,7 +239,10 @@ def _cmd_crypto_scan(args: argparse.Namespace) -> int:
     for cls, count in zip(scan.CLASSES, counts):
         print(f"  {cls.value}: {count}")
     print(f"max |f| = {abs(peak.f):.6f} at alpha = {peak.alpha:.6f}, tau = {peak.tau:.6f}")
-    return 0 if all(counts) else 1
+    empty = " or ".join(cls.value for cls, count in zip(scan.CLASSES, counts) if not count)
+    if empty:
+        print(f"nonlocality-lab: scan has no {empty} cells", file=sys.stderr)
+    return 1 if empty else 0
 
 
 def _cmd_crypto_tau_average(args: argparse.Namespace) -> int:

@@ -138,15 +138,15 @@ class BoxTable:
 
     @classmethod
     def from_json(cls, text: str) -> "BoxTable":
-        obj = json.loads(text)
-        arr = np.empty((2, 2, 2, 2))
-        for x in BITS:
-            for y in BITS:
-                row = obj[f"{x},{y}"]
-                if len(row) != 4:
-                    raise ValueError(f"row {x},{y} must have 4 entries")
-                arr[x, y] = np.asarray(row, dtype=float).reshape(2, 2)
-        return cls(arr)
+        """Parse ``to_json`` output; raise ValueError on any malformed input."""
+        obj = json.loads(text, parse_int=float)  # a huge int parses to inf
+        keys = [f"{x},{y}" for x in BITS for y in BITS]
+        if not isinstance(obj, dict) or sorted(obj) != keys:
+            raise ValueError(f"expected a JSON object with exactly the keys {keys}")
+        for key in keys:
+            if not isinstance(obj[key], list) or [type(p) for p in obj[key]] != [float] * 4:
+                raise ValueError(f"row {key} must be a list of 4 numbers")
+        return cls(np.array([obj[key] for key in keys]).reshape(2, 2, 2, 2))
 
 
 @dataclass(frozen=True)

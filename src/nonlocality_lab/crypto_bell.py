@@ -21,21 +21,21 @@ can exceed the Tsirelson bound and approaches the algebraic maximum
 |F| -> 4 near (alpha, tau) = (pi/6, pi/2) on the tilted four-direction
 family used throughout this module.
 
-The mu-integral is evaluated EXACTLY: on a great circle each projection
-a_hat.lam(mu) is a pure cosine with exactly two roots, so the integrand is
-piecewise +-1 on at most four arcs and |sin mu| integrates in closed form on
-each.  One numpy kernel does this for a whole array of tau values and a
-stack of vector sets at once; every correlation, CHSH value, tau average and
-region scan in this module goes through it.  The scan stacks whole alpha
-rows into blocks of about 1.5k cells, one kernel call each, and returns its
-values as arrays (``RegionScan``) that ``scan_to_csv`` writes row by row.
-The tau averages are one kernel call each, on the nodes of a fixed
-Gauss-Legendre rule graded geometrically toward the tau where the integrand
-has a kink or a boundary layer (``_tau_rule``).  A dense Riemann sum is
-kept in the test suite as an independent cross-check; closed-form
-expressions (see ``chi_functions``) are evaluated both as printed and in a
-normalized variant and compared against the exact integrator, never trusted
-over it.
+The mu-integral is evaluated EXACTLY: on a great circle one sign averages
+to 0, and a product of two signs differs from its value at the pole mu = 0
+only on two antipodal arcs, whose |sin mu| weight is a difference of two
+sines.  One numpy kernel evaluates this for a whole array of tau values and
+a stack of one- or two-vector sets at once; every correlation, CHSH value,
+tau average and region scan in this module goes through it.  The scan
+stacks whole alpha rows into blocks of about 1.5k cells, one kernel call
+each, and returns its values as arrays (``RegionScan``) that
+``scan_to_csv`` writes row by row.  The tau averages are one kernel call
+each, on the nodes of a fixed Gauss-Legendre rule graded geometrically
+toward the tau where the integrand has a kink or a boundary layer
+(``_tau_rule``).  A dense Riemann sum is kept in the test suite as an
+independent cross-check; closed-form expressions (see ``chi_functions``)
+are evaluated both as printed and in a normalized variant and compared
+against the exact integrator, never trusted over it.
 """
 
 from __future__ import annotations
@@ -210,33 +210,28 @@ def model_outcomes(a, b, mu: float, tau: float) -> tuple[int, int]:
 def _arc_average(vectors, taus) -> np.ndarray:
     """(1/4) * int_0^{2pi} prod_v sgn(v . lam(mu, tau)) |sin mu| dmu, exact.
 
-    ``vectors`` has shape (..., k, 3), one set of k vectors per leading
-    index, and ``taus`` shape (T,); the result has shape (..., T).  On the
-    circle tau each projection v . lam = p cos(mu) + q sin(mu) flips sign at
-    exactly two angles, so the product is piecewise constant on at most 2k
-    arcs; |sin| integrates in closed form on each.  A projection that
-    vanishes identically (the circle lies in the plane orthogonal to v) has
-    the constant sign sgn(0) = +1 and adds no break.
+    ``vectors`` has shape (..., k, 3) with k = 1 or 2, and ``taus`` shape
+    (T,); the result has shape (..., T).  On the circle tau a projection
+    v . lam = p cos(mu) + q sin(mu) has the sign s = sgn(p) at the pole
+    mu = 0 and antipodal roots at phi +- pi/2, sin(phi) = t = s q / |(p, q)|,
+    so one sign averages to exactly 0.  Two signs differ from their pole
+    value s_1 s_2 only between their roots in [0, pi] and between the
+    antipodes, two arcs of |sin|-weight |t_1 - t_2|, so they average to
+    s_1 s_2 (1 - |t_1 - t_2|).  Identically vanishing projections have the
+    sign sgn(0) = +1: a set of them averages to 1, one in a mixed pair to 0.
     """
     v = np.asarray(vectors, dtype=float)[..., None, :, :]
     taus = np.asarray(taus, dtype=float)[:, None]
     q = v[..., 0] * np.cos(taus) + v[..., 1] * np.sin(taus)  # (..., T, k)
     p = np.broadcast_to(v[..., 2], q.shape)
-    vanish = np.hypot(p, q) < 1e-15
-    m = np.arctan2(q, p)
-    roots = np.concatenate([m - math.pi / 2.0, m + math.pi / 2.0], axis=-1) % TWO_PI
-    no_root = np.concatenate([vanish, vanish], axis=-1)
-    # A vanishing projection's two slots copy the first real break; the
-    # zero-length arcs this makes drop out below, so the sum is unchanged.
-    first = np.where(no_root, np.inf, roots).min(axis=-1, keepdims=True)
-    first = np.where(np.isinf(first), 0.0, first)
-    lo = np.sort(np.where(no_root, first, roots), axis=-1)  # (..., T, 2k)
-    hi = np.concatenate([lo[..., 1:], lo[..., :1] + TWO_PI], axis=-1)
-    mid = (0.5 * (lo + hi))[..., None]
-    projections = p[..., None, :] * np.cos(mid) + q[..., None, :] * np.sin(mid)
-    signs = np.where((projections >= 0.0) | vanish[..., None, :], 1.0, -1.0).prod(axis=-1)
-    arcs = np.where(hi - lo < 1e-15, 0.0, signs * abs_sin_integral(lo, hi))
-    return arcs.sum(axis=-1) / 4.0
+    r = np.hypot(p, q)
+    vanish = r < 1e-15
+    if v.shape[-2] == 1:
+        return np.where(vanish[..., 0], 1.0, 0.0)
+    pole = np.where(p >= 0.0, 1.0, -1.0)
+    t_1, t_2 = np.moveaxis(pole * q / np.where(vanish, 1.0, r), -1, 0)
+    pair = pole[..., 0] * pole[..., 1] * (1.0 - np.abs(t_1 - t_2))
+    return np.where(vanish.any(axis=-1), vanish.all(axis=-1) * 1.0, pair)
 
 
 def conditional_correlation(a, b, tau: float) -> float:
@@ -249,8 +244,8 @@ def crypto_local_average(a, tau: float, b=None) -> float:
     """Single-party average at fixed tau: (1/4) int A |sin mu| dmu.
 
     When ``b`` is given, the model's rotated vector a_hat(a, b) is averaged;
-    otherwise ``a`` itself is.  Either way the average vanishes whenever the
-    projection onto the circle tau does not vanish identically — opposite
+    otherwise ``a`` itself is.  Either way the average is exactly 0 unless
+    the projection onto the circle tau vanishes identically — opposite
     hemispheres of a great circle carry opposite signs and equal weight —
     which is the crypto-nonlocality property.  A vector orthogonal to the
     whole circle has the constant sign sgn(0) = +1 and averages to 1.

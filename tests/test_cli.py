@@ -133,6 +133,17 @@ class TestCrypto:
         assert main(["crypto", "scan", "--grid", "4x4", "--out", str(set_path)]) == 0
         assert set_path.read_bytes() == unset_path.read_bytes()
 
+    def test_scan_names_empty_classes(self, capsys, tmp_path):
+        code = main(["crypto", "scan", "--grid", "2x2", "--out", str(tmp_path / "s.csv")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out.splitlines()[1:4] == [
+            "  local: 0",
+            "  quantum_nonlocal: 4",
+            "  superquantum: 0",
+        ]
+        assert captured.err == "nonlocality-lab: scan has no local or superquantum cells\n"
+
     def test_scan_unwritable_out_is_usage_error(self, capsys, tmp_path):
         out_path = tmp_path / "missing" / "x.csv"
         code = main(["crypto", "scan", "--grid", "4x4", "--out", str(out_path)])

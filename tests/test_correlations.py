@@ -27,6 +27,16 @@ from nonlocality_lab.correlations import (
 from nonlocality_lab.pr_box import pr_ideal_table, pr_table_from_hidden
 
 BITS = (0, 1)
+JSON_KEYS = ["0,0", "0,1", "1,0", "1,1"]
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -138,6 +148,51 @@ class TestBoxTable:
         assert bad in text
         with pytest.raises(ValueError, match="finite"):
             BoxTable.from_json(text)
+
+    @settings(max_examples=50)
+    @given(st.sets(st.sampled_from(JSON_KEYS), min_size=1))
+    def test_from_json_rejects_missing_key(self, missing):
+        obj = json.loads(uniform_table().to_json())
+        for key in missing:
+            del obj[key]
+        with pytest.raises(ValueError, match="keys"):
+            BoxTable.from_json(json.dumps(obj))
+
+    @settings(max_examples=50)
+    @given(st.text().filter(lambda key: key not in JSON_KEYS), JSON_VALUES)
+    def test_from_json_rejects_extra_key(self, key, value):
+        obj = json.loads(uniform_table().to_json())
+        obj[key] = value
+        with pytest.raises(ValueError, match="keys"):
+            BoxTable.from_json(json.dumps(obj))
+
+    @settings(max_examples=50)
+    @given(JSON_VALUES.filter(lambda value: not isinstance(value, dict)))
+    def test_from_json_rejects_non_object(self, value):
+        with pytest.raises(ValueError, match="JSON object"):
+            BoxTable.from_json(json.dumps(value))
+
+    @settings(max_examples=50)
+    @given(
+        st.sampled_from(JSON_KEYS),
+        st.one_of(
+            JSON_VALUES.filter(lambda value: not isinstance(value, list)),
+            st.lists(JSON_VALUES).filter(
+                lambda row: len(row) != 4 or any(type(p) not in (int, float) for p in row)
+            ),
+        ),
+    )
+    def test_from_json_rejects_bad_row(self, key, row):
+        obj = json.loads(uniform_table().to_json())
+        obj[key] = row
+        with pytest.raises(ValueError, match=f"row {key} must be a list of 4 numbers"):
+            BoxTable.from_json(json.dumps(obj))
+
+    def test_from_json_accepts_integer_entries(self):
+        obj = json.loads(pr_ideal_table().to_json())
+        obj["0,0"] = [1, 0, 0, 0]
+        obj["0,1"] = [0, 0, 0, 1]
+        assert BoxTable.from_json(json.dumps(obj)).prob(0, 0, 0, 0) == 1.0
 
     def test_validation_normalization(self):
         probs = np.full((2, 2, 2, 2), 0.3)

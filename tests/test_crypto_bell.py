@@ -44,6 +44,7 @@ from nonlocality_lab.crypto_bell import (
 )
 
 PI = math.pi
+TWO_PI = 2.0 * PI
 
 
 def random_unit(rng):
@@ -62,6 +63,41 @@ def riemann_correlation(a, b, tau, nodes=100_000):
     b_signs = np.where(lam @ pair.b_hat >= 0.0, -1.0, 1.0)
     weights = np.abs(np.sin(mu)) * (2.0 * PI / nodes)
     return float((a_signs * b_signs * weights).sum() / 4.0)
+
+
+def generic_arc_average(vectors, taus) -> np.ndarray:
+    """Oracle for ``_arc_average``: the generic k-vector kernel that sorts
+    the 2k roots and evaluates the sign product at each arc's midpoint.
+
+    (1/4) * int_0^{2pi} prod_v sgn(v . lam(mu, tau)) |sin mu| dmu, exact.
+
+    ``vectors`` has shape (..., k, 3), one set of k vectors per leading
+    index, and ``taus`` shape (T,); the result has shape (..., T).  On the
+    circle tau each projection v . lam = p cos(mu) + q sin(mu) flips sign at
+    exactly two angles, so the product is piecewise constant on at most 2k
+    arcs; |sin| integrates in closed form on each.  A projection that
+    vanishes identically (the circle lies in the plane orthogonal to v) has
+    the constant sign sgn(0) = +1 and adds no break.
+    """
+    v = np.asarray(vectors, dtype=float)[..., None, :, :]
+    taus = np.asarray(taus, dtype=float)[:, None]
+    q = v[..., 0] * np.cos(taus) + v[..., 1] * np.sin(taus)  # (..., T, k)
+    p = np.broadcast_to(v[..., 2], q.shape)
+    vanish = np.hypot(p, q) < 1e-15
+    m = np.arctan2(q, p)
+    roots = np.concatenate([m - math.pi / 2.0, m + math.pi / 2.0], axis=-1) % TWO_PI
+    no_root = np.concatenate([vanish, vanish], axis=-1)
+    # A vanishing projection's two slots copy the first real break; the
+    # zero-length arcs this makes drop out below, so the sum is unchanged.
+    first = np.where(no_root, np.inf, roots).min(axis=-1, keepdims=True)
+    first = np.where(np.isinf(first), 0.0, first)
+    lo = np.sort(np.where(no_root, first, roots), axis=-1)  # (..., T, 2k)
+    hi = np.concatenate([lo[..., 1:], lo[..., :1] + TWO_PI], axis=-1)
+    mid = (0.5 * (lo + hi))[..., None]
+    projections = p[..., None, :] * np.cos(mid) + q[..., None, :] * np.sin(mid)
+    signs = np.where((projections >= 0.0) | vanish[..., None, :], 1.0, -1.0).prod(axis=-1)
+    arcs = np.where(hi - lo < 1e-15, 0.0, signs * abs_sin_integral(lo, hi))
+    return arcs.sum(axis=-1) / 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +341,96 @@ class TestArcKernelShapes:
         for s, pair in enumerate(vectors):
             for t, tau in enumerate(taus):
                 assert batched[s, t] == pytest.approx(_arc_average(pair, [tau])[0], abs=1e-15)
+
+
+def unit_rows(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def near_horizontal(rng, size):
+    """Unit vectors with |v_z| from 1e-9 to 1e-2 and random azimuths."""
+    z = np.logspace(-9, -2, size) * rng.choice([-1.0, 1.0], size)
+    phi = rng.uniform(0.0, TWO_PI, size)
+    return unit_rows(np.stack([np.cos(phi), np.sin(phi), z], axis=-1))
+
+
+def circle_normals(taus):
+    """(-sin tau, cos tau, 0): orthogonal to the whole circle tau."""
+    taus = np.asarray(taus)
+    return np.stack([-np.sin(taus), np.cos(taus), np.zeros_like(taus)], axis=-1)
+
+
+def oracle_pairs(size=400, seed=17):
+    """Named (size, 2, 3) stacks of unit pairs for the oracle comparison."""
+    rng = np.random.default_rng(seed)
+    u, w = unit_rows(rng.normal(size=(2, size, 3)))
+    flat, other_flat = near_horizontal(rng, size), near_horizontal(rng, size)
+    return {
+        "generic": np.stack([u, w], axis=1),
+        "near-horizontal first": np.stack([flat, w], axis=1),
+        "near-horizontal second": np.stack([u, flat], axis=1),
+        "near-horizontal both": np.stack([flat, other_flat], axis=1),
+        "equal": np.stack([u, u], axis=1),
+        "antiparallel": np.stack([u, -u], axis=1),
+        "equal near-horizontal": np.stack([flat, flat], axis=1),
+        "antiparallel near-horizontal": np.stack([flat, -flat], axis=1),
+    }
+
+
+class TestArcKernelOracle:
+    # the two-sign closed form against the generic sort kernel
+    # ``generic_arc_average``, at 1e-14
+
+    @pytest.mark.parametrize("case", list(oracle_pairs()))
+    def test_pairs_match_generic_kernel(self, case):
+        pairs = oracle_pairs()[case]
+        rng = np.random.default_rng(18)
+        # random circles, plus the circles that meet the first vectors in a
+        # layer of width ~|v_z| (near-horizontal cases)
+        layer = (np.arctan2(pairs[:16, 0, 1], pairs[:16, 0, 0]) + PI / 2.0) % PI
+        taus = np.concatenate([rng.uniform(0.0, PI, size=24), layer, layer + 1e-7])
+        np.testing.assert_allclose(
+            _arc_average(pairs, taus), generic_arc_average(pairs, taus), rtol=0.0, atol=1e-14
+        )
+
+    def test_single_vector_is_exactly_zero(self):
+        rng = np.random.default_rng(19)
+        vectors = np.concatenate([unit_rows(rng.normal(size=(300, 3))), near_horizontal(rng, 300)])
+        taus = rng.uniform(0.0, PI, size=30)
+        got = _arc_average(vectors[:, None, :], taus)
+        assert np.all(got == 0.0)
+        np.testing.assert_allclose(
+            got, generic_arc_average(vectors[:, None, :], taus), rtol=0.0, atol=1e-14
+        )
+
+    @pytest.mark.parametrize("k, slots", [(1, (0,)), (2, (0,)), (2, (1,)), (2, (0, 1))])
+    def test_circle_normal_slots(self, k, slots):
+        # row j of the stack holds the normal of circle taus[j] in ``slots``
+        rng = np.random.default_rng(20)
+        taus = rng.uniform(0.0, PI, size=12)
+        stack = unit_rows(rng.normal(size=(len(taus), 50, k, 3)))
+        for slot in slots:
+            stack[:, :, slot] = circle_normals(taus)[:, None, :]
+        got = _arc_average(stack, taus)  # (T, 50, T)
+        np.testing.assert_allclose(got, generic_arc_average(stack, taus), rtol=0.0, atol=1e-14)
+        diagonal = np.arange(len(taus))
+        on_own_circle = got[diagonal, :, diagonal]
+        assert np.all(on_own_circle == (1.0 if len(slots) == k else 0.0))
+        if k == 1:
+            off_circle = ~np.eye(len(taus), dtype=bool)[:, None, :].repeat(50, axis=1)
+            assert np.all(got[off_circle] == 0.0)
+
+    def test_equal_and_antiparallel_are_exact(self):
+        pairs = oracle_pairs()
+        taus = np.random.default_rng(21).uniform(0.0, PI, size=24)
+        for case in ("equal", "equal near-horizontal"):
+            assert np.all(_arc_average(pairs[case], taus) == 1.0)
+        for case in ("antiparallel", "antiparallel near-horizontal"):
+            assert np.all(_arc_average(pairs[case], taus) == -1.0)
+
+    def test_more_than_two_vectors_rejected(self):
+        with pytest.raises(ValueError):
+            _arc_average(np.eye(3), [0.5])
 
 
 class TestLocalAverage:
