@@ -25,8 +25,6 @@ import math
 import re
 import sys
 
-import numpy as np
-
 from ._rng import derive_seed, substream
 from .correlations import (
     check_no_signaling,
@@ -43,16 +41,9 @@ from .crypto_bell import (
 )
 from .entangled_ops import MAX_DIM, theorem_bound, verification_report
 from .pr_box import pr_chsh, pr_ideal_table, pr_table_from_hidden
-from .singlet_sim import estimate_singlet_correlation
+from .singlet_sim import SphereSampler, estimate_singlet_correlation
 
 __all__ = ["main"]
-
-
-def _random_direction(rng: np.random.Generator) -> np.ndarray:
-    z = rng.uniform(-1.0, 1.0)
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    r = math.sqrt(1.0 - z * z)
-    return np.array([r * math.cos(phi), r * math.sin(phi), z])
 
 
 def _print_json(payload: dict) -> None:
@@ -134,12 +125,11 @@ def _cmd_prbox(args: argparse.Namespace) -> int:
 
 
 def _cmd_singlet(args: argparse.Namespace) -> int:
-    rng = substream(args.seed, "singlet-directions")
+    directions = SphereSampler(substream(args.seed, "singlet-directions"))
     records = []
     all_ok = True
     for k in range(args.pairs):
-        a = _random_direction(rng)
-        b = _random_direction(rng)
+        a, b = directions.sample(2)
         pair_seed = derive_seed(args.seed, f"singlet-pair-{k}")
         estimate = estimate_singlet_correlation(a, b, args.n, pair_seed)
         reference = singlet_reference(a, b)

@@ -46,8 +46,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._rng import substream
 from .correlations import TSIRELSON_BOUND, NonlocalityClass, classify_chsh
-from .singlet_sim import SphereSampler, as_unit_vector, sgn
+from .singlet_sim import SphereSampler, _chunked_estimate, as_unit_vector, sgn
 
 __all__ = [
     "polar_from_standard",
@@ -153,22 +154,13 @@ class RotatedPair:
     omega_hat: float
 
 
-def _orthogonal_unit(v: np.ndarray) -> np.ndarray:
-    """Deterministic unit vector orthogonal to v: Gram-Schmidt of the
-    canonical axis least aligned with v."""
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(v)))] = 1.0
-    u = axis - (axis @ v) * v
-    return u / np.linalg.norm(u)
-
-
 def rotated_settings(a, b) -> RotatedPair:
     """Rotate (a, b) within their plane to the angle pi * sin^2(omega / 2).
 
     Both vectors move symmetrically so the bisector is preserved.  For the
-    degenerate antiparallel case omega = pi, the bisector is ambiguous; any
-    in-plane choice gives b_hat = -a_hat = -a, so downstream averages do not
-    depend on it.
+    degenerate antiparallel case omega = pi, the bisector is ambiguous, but
+    every in-plane choice gives b_hat = -a_hat = -a, which is returned
+    exactly.
     """
     a = as_unit_vector(a)
     b = as_unit_vector(b)
@@ -177,16 +169,14 @@ def rotated_settings(a, b) -> RotatedPair:
     omega_hat = math.pi * math.sin(omega / 2.0) ** 2
     mid = a + b
     norm_mid = float(np.linalg.norm(mid))
-    if norm_mid > 1e-12:
-        bisector = mid / norm_mid
-        diff = a - b
-        norm_diff = float(np.linalg.norm(diff))
-        if norm_diff < 1e-12:  # omega = 0
-            return RotatedPair(a.copy(), a.copy(), omega, omega_hat)
-        side = diff / norm_diff
-    else:  # omega = pi
-        side = a
-        bisector = _orthogonal_unit(a)
+    if norm_mid <= 1e-12:  # omega = pi
+        return RotatedPair(a.copy(), -a, omega, omega_hat)
+    bisector = mid / norm_mid
+    diff = a - b
+    norm_diff = float(np.linalg.norm(diff))
+    if norm_diff < 1e-12:  # omega = 0
+        return RotatedPair(a.copy(), a.copy(), omega, omega_hat)
+    side = diff / norm_diff
     c, s = math.cos(omega_hat / 2.0), math.sin(omega_hat / 2.0)
     return RotatedPair(c * bisector + s * side, c * bisector - s * side, omega, omega_hat)
 
@@ -260,17 +250,18 @@ def crypto_local_average(a, tau: float, b=None) -> float:
 def mc_joint_correlation(a, b, n: int, seed: int) -> tuple[float, float]:
     """Full-sphere Monte Carlo of A*B; returns (mean, stderr).
 
-    Cross-check for the exact route: the mean must agree with -a.b.
+    Cross-check for the exact route: the mean must agree with -a.b.  Rounds
+    go through the singlet estimator's chunked counter, in bounded memory.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     pair = rotated_settings(a, b)
-    lam = SphereSampler(seed).sample(n)
-    products = np.where(lam @ pair.a_hat >= 0.0, 1.0, -1.0) * np.where(
-        lam @ pair.b_hat >= 0.0, -1.0, 1.0
-    )
-    stderr = float(products.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return float(products.mean()), stderr
+    lam = SphereSampler(substream(seed, "crypto-mc-lam"))
+
+    def disagree(m: int) -> np.ndarray:
+        points = lam.sample(m)
+        return (points @ pair.a_hat >= 0.0) == (points @ pair.b_hat >= 0.0)
+
+    estimate = _chunked_estimate(n, disagree)
+    return estimate.e_hat, estimate.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +582,10 @@ class RegionScan:
         return np.bincount(self.codes.ravel(), minlength=len(self.CLASSES))
 
     def peak(self) -> ConditionalChsh:
-        """The first cell, in row-major order, of largest |f|."""
-        i, j = np.unravel_index(int(np.argmax(np.abs(self.f))), self.f.shape)
+        """The first cell, in row-major order, within 1e-12 of the largest |f|:
+        rounding must not choose between cells that tie exactly, such as tau mirrors."""
+        abs_f = np.abs(self.f)
+        i, j = np.unravel_index(int(np.argmax(abs_f >= abs_f.max() - 1e-12)), abs_f.shape)
         return ConditionalChsh(
             float(self.alphas[i]),
             float(self.taus[j]),

@@ -24,6 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._rng import substream
+
 __all__ = [
     "SchmidtState",
     "make_schmidt_state",
@@ -460,7 +462,7 @@ def verification_report(
         raise ValueError(f"need 2 <= n_min <= n_max <= {MAX_DIM}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
+    rng = substream(seed, "theorem")
     dims: dict[int, dict[str, float]] = {}
     for n in range(n_min, n_max + 1):
         res = {key: 0.0 for key in REPORT_TOLERANCES}

@@ -5,7 +5,7 @@ binary outputs a, b constrained by a + b = x*y (mod 2), with uniformly
 random outputs.  It saturates the algebraic CHSH maximum F = 4.  A single
 hidden bit reproduces the box deterministically:
 
-    a = (x + lam) mod 2,    b = (x + lam - x*y) mod 2.
+    a = x xor lam,    b = x xor lam xor x*y.
 
 The output b depends on the remote input x, which is where the nonlocality
 of the realization sits.
@@ -45,14 +45,18 @@ def _check_bit(name: str, value: int) -> int:
     return value
 
 
+def _hidden_outputs(x, y, lam):
+    """The box formula, unchecked, on bits or on boolean arrays alike."""
+    a = x ^ lam
+    return a, a ^ (x & y)
+
+
 def pr_hidden_outputs(x: int, y: int, lam: int) -> tuple[int, int]:
     """Deterministic outputs of the one-bit hidden-variable model."""
     _check_bit("x", x)
     _check_bit("y", y)
     _check_bit("lam", lam)
-    a = (x + lam) % 2
-    b = (x + lam - x * y) % 2
-    return a, b
+    return _hidden_outputs(x, y, lam)
 
 
 def pr_ideal_table() -> BoxTable:

@@ -2,17 +2,23 @@
 
 Two hidden unit vectors lam1, lam2, uniform and independent on the sphere,
 plus a single use of the PR box per round, reproduce the singlet correlation
-E(a, b) = -a.b for arbitrary measurement directions a, b.  Per round, with
-sgn taking values in {-1, +1}:
+E(a, b) = -a.b for arbitrary measurement directions a, b (Cerf, Gisin,
+Massar & Popescu, PRL 94, 220403, 2005).  Per round, in boolean form with
+[v] = [v >= 0] (the tie convention sgn(0) = +1) and lam+- = lam1 +- lam2:
 
-    x = (sgn(a.lam1) + sgn(a.lam2))/2 + 1   (mod 2)
-    y = (sgn(b.lam+) + sgn(b.lam-))/2 + 1   (mod 2)      lam+- = lam1 +- lam2
-    A = o_a + (sgn(a.lam1) + 1)/2           (mod 2)
-    B = o_b + (sgn(b.lam+) - 1)/2           (mod 2)
+    x = [a.lam1] xor [a.lam2]        A = o_a xor [a.lam1]
+    y = [b.lam+] xor [b.lam-]        B = o_b xor not [b.lam+]
 
-where (o_a, o_b) are the box outputs for inputs (x, y).  The box's internal
-randomness is a fresh fair bit each round.  lam+- enter unnormalized; the
-tie convention sgn(0) = +1 covers the measure-zero case lam1 = lam2.
+where (o_a, o_b) are the box outputs for inputs (x, y) and a fresh fair box
+bit.  The round's sign product is -1 exactly where A != B.  The box bit
+cancels from it, since o_a xor o_b = x*y, but stays in the loop: the protocol
+uses the box once per round, and each outcome alone is a fair coin only
+through it.
+
+Estimators draw ``CHUNK_ROUNDS`` rounds at a time and keep one integer, the
+count of rounds with product -1, so memory does not grow with n.  lam1, lam2
+and the box bits each have a named substream, which drawn in pieces equals
+itself drawn at once: no result depends on the chunk size.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import substream
-from .pr_box import pr_hidden_outputs
+from .pr_box import _check_bit, _hidden_outputs
 
 __all__ = [
     "sgn",
@@ -33,6 +39,8 @@ __all__ = [
     "estimate_singlet_correlation",
     "SingletEstimate",
 ]
+
+CHUNK_ROUNDS = 1 << 13  # small enough to stay in cache; no result depends on it
 
 
 def sgn(r: float) -> int:
@@ -49,50 +57,39 @@ def as_unit_vector(v, atol: float = 1e-9) -> np.ndarray:
 
 
 class SphereSampler:
-    """Deterministic stream of points uniform on the unit sphere.
+    """Points uniform on the unit sphere, drawn from one generator.
 
-    Sampling contract: z uniform on [-1, 1], azimuth uniform on [0, 2*pi).
-    Identical seeds give identical streams; ``counter`` tracks how many
-    points have been drawn.
+    Sampling contract: z uniform on [-1, 1) and azimuth uniform on
+    [-pi, pi), drawn as one (n, 2) block per call, so points drawn in pieces
+    equal points drawn at once.  Pass a named ``substream``; ``counter``
+    tracks how many points have been drawn.
     """
 
-    def __init__(self, seed: int):
-        self.seed = int(seed)
+    def __init__(self, rng: np.random.Generator):
         self.counter = 0
-        self._rng = np.random.default_rng(self.seed)
+        self._rng = rng
 
     def sample(self, n: int) -> np.ndarray:
         """Draw ``n`` points, returned as an (n, 3) array."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        z = self._rng.uniform(-1.0, 1.0, size=n)
-        phi = self._rng.uniform(0.0, 2.0 * math.pi, size=n)
+        u = 2.0 * self._rng.random((n, 2)) - 1.0  # rows of (z, azimuth / pi)
+        z, phi = u[:, 0], math.pi * u[:, 1]
         r = np.sqrt(1.0 - z * z)
         self.counter += n
-        return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+        return np.array([r * np.cos(phi), r * np.sin(phi), z]).T
 
 
 def singlet_round(a, b, lam1, lam2, box_bit: int) -> tuple[int, int]:
     """One protocol round; returns the outcome bits (A, B).
 
-    ``box_bit`` is the PR box's internal hidden bit for this round.  The
-    round is fully deterministic given its arguments, which makes the
-    formula traceable; batch estimation uses an equivalent vectorized path.
+    ``box_bit`` is the PR box's internal hidden bit for this round.  This is
+    the batch kernel called on one round.
     """
-    a = as_unit_vector(a)
-    b = as_unit_vector(b)
-    lam1 = np.asarray(lam1, dtype=float).reshape(3)
-    lam2 = np.asarray(lam2, dtype=float).reshape(3)
-    s1 = sgn(float(a @ lam1))
-    s2 = sgn(float(a @ lam2))
-    sp = sgn(float(b @ (lam1 + lam2)))
-    sm = sgn(float(b @ (lam1 - lam2)))
-    x = ((s1 + s2) // 2 + 1) % 2
-    y = ((sp + sm) // 2 + 1) % 2
-    o_a, o_b = pr_hidden_outputs(x, y, box_bit)
-    A = (o_a + (s1 + 1) // 2) % 2
-    B = (o_b + (sp - 1) // 2) % 2
-    return A, B
+    _check_bit("box_bit", box_bit)
+    lams = np.asarray([lam1, lam2], dtype=float).reshape(2, 1, 3)
+    A, B = _sign_products(as_unit_vector(a), as_unit_vector(b), *lams, np.array([box_bit], bool))
+    return int(A[0]), int(B[0])
 
 
 @dataclass(frozen=True)
@@ -101,20 +98,30 @@ class SingletEstimate:
     stderr: float
 
 
-def _sign_products(a, b, lam1: np.ndarray, lam2: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Vectorized sign products of a batch of rounds (same formulas as
-    ``singlet_round``, broadcast over the leading axis)."""
-    s1 = np.where(lam1 @ a >= 0.0, 1, -1)
-    s2 = np.where(lam2 @ a >= 0.0, 1, -1)
-    sp = np.where((lam1 + lam2) @ b >= 0.0, 1, -1)
-    sm = np.where((lam1 - lam2) @ b >= 0.0, 1, -1)
-    x = ((s1 + s2) // 2 + 1) % 2
-    y = ((sp + sm) // 2 + 1) % 2
-    o_a = (x + bits) % 2
-    o_b = (x + bits - x * y) % 2
-    A = (o_a + (s1 + 1) // 2) % 2
-    B = (o_b + (sp - 1) // 2) % 2
-    return (1 - 2 * A) * (1 - 2 * B)
+def _sign_products(a, b, lam1: np.ndarray, lam2: np.ndarray, bits: np.ndarray):
+    """Outcome bits (A, B), as boolean arrays, of the rounds with hidden
+    vectors lam1[i], lam2[i] and box bit bits[i]; product -1 where A != B."""
+    s1 = lam1 @ a >= 0.0
+    s2 = lam2 @ a >= 0.0
+    sp = (lam1 + lam2) @ b >= 0.0
+    sm = (lam1 - lam2) @ b >= 0.0
+    o_a, o_b = _hidden_outputs(s1 != s2, sp != sm, bits)
+    return o_a ^ s1, o_b ^ ~sp
+
+
+def _chunked_estimate(n: int, disagree) -> SingletEstimate:
+    """Mean and standard error of n rounds of +-1 products, by counting.
+
+    ``disagree(m)`` draws the next m <= ``CHUNK_ROUNDS`` rounds and returns
+    the boolean mask of those with product -1.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    chunks = (min(CHUNK_ROUNDS, n - start) for start in range(0, n, CHUNK_ROUNDS))
+    k = sum(int(np.count_nonzero(disagree(m))) for m in chunks)
+    e_hat = (n - 2 * k) / n
+    stderr = math.sqrt((1.0 - e_hat * e_hat) / (n - 1)) if n > 1 else 0.0
+    return SingletEstimate(e_hat=e_hat, stderr=stderr)
 
 
 def estimate_singlet_correlation(a, b, n: int, seed: int) -> SingletEstimate:
@@ -125,15 +132,14 @@ def estimate_singlet_correlation(a, b, n: int, seed: int) -> SingletEstimate:
     standard deviation / sqrt(n); 0.0 for the degenerate n = 1).  The result
     is bit-identical for identical (a, b, n, seed).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     a = as_unit_vector(a)
     b = as_unit_vector(b)
-    sampler = SphereSampler(seed)
-    lam1 = sampler.sample(n)
-    lam2 = sampler.sample(n)
-    bits = substream(seed, "pr-box-bit").integers(0, 2, size=n)
-    products = _sign_products(a, b, lam1, lam2, bits)
-    e_hat = float(products.mean())
-    stderr = float(products.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return SingletEstimate(e_hat=e_hat, stderr=stderr)
+    lam1 = SphereSampler(substream(seed, "singlet-lam1"))
+    lam2 = SphereSampler(substream(seed, "singlet-lam2"))
+    box = substream(seed, "pr-box-bit")
+
+    def disagree(m: int) -> np.ndarray:
+        A, B = _sign_products(a, b, lam1.sample(m), lam2.sample(m), box.random(m) < 0.5)
+        return A != B
+
+    return _chunked_estimate(n, disagree)

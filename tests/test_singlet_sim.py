@@ -1,13 +1,17 @@
 """Tests for the PR-box singlet simulation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nonlocality_lab import singlet_sim
 from nonlocality_lab._rng import substream
+from nonlocality_lab.crypto_bell import mc_joint_correlation, rotated_settings
+from nonlocality_lab.pr_box import pr_hidden_outputs
 from nonlocality_lab.singlet_sim import (
     SphereSampler,
     _sign_products,
@@ -19,6 +23,66 @@ from nonlocality_lab.singlet_sim import (
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
+A_DIR = np.array([0.6, 0.0, 0.8])
+B_DIR = np.array([0.0, 0.8, -0.6])
+
+
+def scalar_round(a, b, lam1, lam2, box_bit):
+    """Test oracle: one protocol round in integer sign arithmetic, as the
+    protocol is written, with the box called through its checked scalar
+    entry point."""
+    a = as_unit_vector(a)
+    b = as_unit_vector(b)
+    lam1 = np.asarray(lam1, dtype=float).reshape(3)
+    lam2 = np.asarray(lam2, dtype=float).reshape(3)
+    s1 = sgn(float(a @ lam1))
+    s2 = sgn(float(a @ lam2))
+    sp = sgn(float(b @ (lam1 + lam2)))
+    sm = sgn(float(b @ (lam1 - lam2)))
+    x = ((s1 + s2) // 2 + 1) % 2
+    y = ((sp + sm) // 2 + 1) % 2
+    o_a, o_b = pr_hidden_outputs(x, y, box_bit)
+    A = (o_a + (s1 + 1) // 2) % 2
+    B = (o_b + (sp - 1) // 2) % 2
+    return A, B
+
+
+def sampler(seed):
+    return SphereSampler(substream(seed, "test-sphere"))
+
+
+def singlet_draws(seed, n):
+    """The hidden vectors and box bits ``estimate_singlet_correlation``
+    draws for ``seed``."""
+    lam1 = SphereSampler(substream(seed, "singlet-lam1")).sample(n)
+    lam2 = SphereSampler(substream(seed, "singlet-lam2")).sample(n)
+    bits = substream(seed, "pr-box-bit").random(n) < 0.5
+    return lam1, lam2, bits
+
+
+def random_rounds(rng, n):
+    """Unit settings and unnormalized hidden vectors, with every fourth
+    round a tie lam2 = +-lam1."""
+    a = rng.normal(size=3)
+    b = rng.normal(size=3)
+    lam1 = rng.normal(size=(n, 3))
+    lam2 = rng.normal(size=(n, 3))
+    lam2[::4] = lam1[::4]
+    lam2[2::4] = -lam1[2::4]
+    bits = rng.random(n) < 0.5
+    return a / np.linalg.norm(a), b / np.linalg.norm(b), lam1, lam2, bits
+
+
+def zero_projection_rounds(rng, n):
+    """Settings a = x, b = z and hidden vectors whose projections vanish
+    exactly: b.lam+ in every round (lam+ != 0), a.lam1 or a.lam2 in two
+    rounds out of three."""
+    lam1 = rng.normal(size=(n, 3))
+    lam2 = rng.normal(size=(n, 3))
+    lam2[:, 2] = -lam1[:, 2]
+    lam1[::3, 0] = 0.0
+    lam2[1::3, 0] = 0.0
+    return X, Z, lam1, lam2, rng.random(n) < 0.5
 
 
 class TestSgn:
@@ -38,7 +102,7 @@ class TestSgn:
 
 class TestSphereSampler:
     def test_determinism_and_counter(self):
-        s1, s2 = SphereSampler(123), SphereSampler(123)
+        s1, s2 = sampler(123), sampler(123)
         a = s1.sample(100)
         b = s2.sample(100)
         np.testing.assert_array_equal(a, b)
@@ -46,13 +110,20 @@ class TestSphereSampler:
         assert s1.sample(5).shape == (5, 3)
         assert s1.counter == 105
 
+    def test_pieces_equal_one_draw(self):
+        whole = sampler(8).sample(1001)
+        parts = sampler(8)
+        np.testing.assert_array_equal(
+            np.concatenate([parts.sample(m) for m in (1, 500, 3, 497)]), whole
+        )
+
     def test_unit_norm(self):
-        points = SphereSampler(5).sample(1000)
+        points = sampler(5).sample(1000)
         np.testing.assert_allclose((points**2).sum(axis=1), 1.0, atol=1e-12)
 
     def test_uniformity(self):
         n = 200_000
-        points = SphereSampler(11).sample(n)
+        points = sampler(11).sample(n)
         # each Cartesian component has mean 0, variance 1/3
         four_sigma = 4.0 * math.sqrt(1.0 / 3.0 / n)
         assert np.all(np.abs(points.mean(axis=0)) < four_sigma)
@@ -61,7 +132,7 @@ class TestSphereSampler:
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):
-            SphereSampler(0).sample(0)
+            sampler(0).sample(0)
 
 
 class TestSingletRound:
@@ -69,6 +140,30 @@ class TestSingletRound:
         # lam1 = lam2 = a = b = z with box bit 0: inputs (0, 0), outputs
         # (0, 0), final outcomes A = 1, B = 0 (sign-anticorrelated)
         assert singlet_round(Z, Z, Z, Z, 0) == (1, 0)
+
+    @pytest.mark.parametrize("rounds", [random_rounds, zero_projection_rounds])
+    def test_kernel_matches_scalar_oracle(self, rounds):
+        # round by round, including the ties and both box bits
+        a, b, lam1, lam2, bits = rounds(np.random.default_rng(1), 2000)
+        A, B = _sign_products(a, b, lam1, lam2, bits)
+        for i in range(len(bits)):
+            want = scalar_round(a, b, lam1[i], lam2[i], int(bits[i]))
+            assert (int(A[i]), int(B[i])) == want
+            assert singlet_round(a, b, lam1[i], lam2[i], int(bits[i])) == want
+
+    def test_box_bit_cancels_from_products(self):
+        # o_a xor o_b = x*y for either box bit: each outcome flips with the
+        # bit, their product does not
+        a, b, lam1, lam2, bits = random_rounds(np.random.default_rng(5), 10_000)
+        A, B = _sign_products(a, b, lam1, lam2, bits)
+        A_flip, B_flip = _sign_products(a, b, lam1, lam2, ~bits)
+        np.testing.assert_array_equal(A_flip, ~A)
+        np.testing.assert_array_equal(B_flip, ~B)
+        np.testing.assert_array_equal(A_flip != B_flip, A != B)
+
+    def test_invalid_box_bit(self):
+        with pytest.raises(ValueError):
+            singlet_round(Z, Z, Z, Z, 2)
 
     def test_outputs_are_bits(self):
         rng = np.random.default_rng(2)
@@ -143,48 +238,27 @@ class TestEstimator:
 
     def test_matches_scalar_rounds(self):
         # replicate the estimator's draws, then walk them through the
-        # scalar reference round by round
-        a = np.array([0.6, 0.0, 0.8])
-        b = np.array([0.0, 0.8, -0.6])
+        # scalar oracle round by round
         n, seed = 2000, 9
-        sampler = SphereSampler(seed)
-        lam1 = sampler.sample(n)
-        lam2 = sampler.sample(n)
-        bits = substream(seed, "pr-box-bit").integers(0, 2, size=n)
+        lam1, lam2, bits = singlet_draws(seed, n)
         products = [
             math.prod(
                 1 - 2 * o
-                for o in singlet_round(a, b, lam1[i], lam2[i], int(bits[i]))
+                for o in scalar_round(A_DIR, B_DIR, lam1[i], lam2[i], int(bits[i]))
             )
             for i in range(n)
         ]
-        estimate = estimate_singlet_correlation(a, b, n, seed)
+        estimate = estimate_singlet_correlation(A_DIR, B_DIR, n, seed)
         assert estimate.e_hat == pytest.approx(np.mean(products), abs=1e-15)
 
     def test_marginals_are_unbiased(self):
         # no-signaling at the simulation level: each outcome bit is a fair coin
         n, seed = 200_000, 13
-        a = np.array([0.6, 0.0, 0.8])
-        b = np.array([0.0, 0.8, -0.6])
-        sampler = SphereSampler(seed)
-        lam1 = sampler.sample(n)
-        lam2 = sampler.sample(n)
-        bits = substream(seed, "pr-box-bit").integers(0, 2, size=n)
-        products = _sign_products(a, b, lam1, lam2, bits)
-        # recover A marginal: product with B and symmetry are not enough,
-        # so recompute the bits directly with the same formulas
-        s1 = np.where(lam1 @ a >= 0.0, 1, -1)
-        s2 = np.where(lam2 @ a >= 0.0, 1, -1)
-        sp = np.where((lam1 + lam2) @ b >= 0.0, 1, -1)
-        sm = np.where((lam1 - lam2) @ b >= 0.0, 1, -1)
-        x = ((s1 + s2) // 2 + 1) % 2
-        y = ((sp + sm) // 2 + 1) % 2
-        A = ((x + bits) % 2 + (s1 + 1) // 2) % 2
-        B = ((x + bits - x * y) % 2 + (sp - 1) // 2) % 2
+        A, B = _sign_products(A_DIR, B_DIR, *singlet_draws(seed, n))
         four_sigma = 4.0 * math.sqrt(0.25 / n)
         assert abs(A.mean() - 0.5) < four_sigma
         assert abs(B.mean() - 0.5) < four_sigma
-        assert products.shape == (n,)
+        assert A.shape == B.shape == (n,)
 
     @pytest.mark.parametrize(
         "pair",
@@ -204,3 +278,52 @@ class TestEstimator:
         estimate = estimate_singlet_correlation(Z, X, 100_000, 3)
         # sign products have unit variance at E = 0
         assert estimate.stderr == pytest.approx(1.0 / math.sqrt(100_000), rel=0.05)
+
+
+class TestChunkedCounter:
+    @pytest.mark.parametrize("chunk", [1000, 4099])
+    def test_chunk_size_never_shows(self, monkeypatch, chunk):
+        n, seed = 100_003, 17
+        want = estimate_singlet_correlation(A_DIR, B_DIR, n, seed), mc_joint_correlation(
+            A_DIR, B_DIR, n, seed
+        )
+        monkeypatch.setattr(singlet_sim, "CHUNK_ROUNDS", chunk)
+        got = estimate_singlet_correlation(A_DIR, B_DIR, n, seed), mc_joint_correlation(
+            A_DIR, B_DIR, n, seed
+        )
+        assert got == want
+
+    def test_singlet_stderr_is_sample_std(self):
+        n, seed = 50_001, 19
+        A, B = _sign_products(A_DIR, B_DIR, *singlet_draws(seed, n))
+        products = np.where(A != B, -1.0, 1.0)
+        estimate = estimate_singlet_correlation(A_DIR, B_DIR, n, seed)
+        assert estimate.e_hat == products.mean()
+        want = products.std(ddof=1) / math.sqrt(n)
+        assert estimate.stderr == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_full_sphere_stderr_is_sample_std(self):
+        n, seed = 50_001, 23
+        pair = rotated_settings(A_DIR, B_DIR)
+        lam = SphereSampler(substream(seed, "crypto-mc-lam")).sample(n)
+        products = np.where(lam @ pair.a_hat >= 0.0, 1.0, -1.0) * np.where(
+            lam @ pair.b_hat >= 0.0, -1.0, 1.0
+        )
+        mean, stderr = mc_joint_correlation(A_DIR, B_DIR, n, seed)
+        assert mean == products.mean()
+        want = products.std(ddof=1) / math.sqrt(n)
+        assert stderr == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_single_round_has_zero_stderr(self):
+        assert estimate_singlet_correlation(A_DIR, B_DIR, 1, 3).stderr == 0.0
+        assert mc_joint_correlation(A_DIR, B_DIR, 1, 3)[1] == 0.0
+
+    def test_memory_bounded_in_rounds(self):
+        # 1e7 rounds held at once would take over 1 GB
+        tracemalloc.start()
+        try:
+            estimate_singlet_correlation(A_DIR, B_DIR, 10_000_000, 29)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
