@@ -10,11 +10,13 @@ One executable, four subcommands:
 Exit codes: 0 success, 1 verification failure, 2 usage error.  A
 ``crypto scan --out`` path that cannot be written is a usage error: one
 line ``nonlocality-lab: error: cannot write <path>: <reason>`` goes to
-stderr.  A scan with an empty class exits 1 and names it on stderr.
+stderr.  A scan with an empty class exits 1 and names it on stderr, and a
+failing ``theorem`` identity exits 1 with its N and residual on stderr.
 ``--json`` output is strict JSON: a value with no finite result (the closed
-forms at their singular points) is written as ``null``, never as a bare
-``NaN`` or ``Infinity``.  All randomness derives from --seed through named
-substreams, so identical invocations produce byte-identical output.
+forms at their singular points, a non-finite theorem residual) is written
+as ``null``, never as a bare ``NaN`` or ``Infinity``.  All randomness
+derives from --seed through named substreams, so identical invocations
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -253,18 +255,19 @@ def _cmd_crypto_tau_average(args: argparse.Namespace) -> int:
 def _cmd_theorem(args: argparse.Namespace) -> int:
     report = verification_report(args.nmin, args.nmax, trials=args.trials, seed=args.seed)
     bounds = {n: theorem_bound(n) for n in (1, 10, 100, 10_000, 1_000_000)}
+    tolerances = report["tolerances"]
     if args.json:
         payload = {
             "dimensions": {
-                str(n): res for n, res in report["dimensions"].items()
+                str(n): {key: _finite_or_none(value) for key, value in res.items()}
+                for n, res in report["dimensions"].items()
             },
-            "tolerances": report["tolerances"],
+            "tolerances": tolerances,
             "partition_bound": {str(n): b for n, b in bounds.items()},
             "passed": report["passed"],
         }
         _print_json(payload)
     else:
-        tolerances = report["tolerances"]
         for n, residuals in report["dimensions"].items():
             print(f"N = {n}")
             for key, value in residuals.items():
@@ -274,6 +277,14 @@ def _cmd_theorem(args: argparse.Namespace) -> int:
         for n, b in bounds.items():
             print(f"  n = {n:<9} bound = {b:.6e}")
         print(f"overall: {'PASS' if report['passed'] else 'FAIL'}")
+    for n, residuals in report["dimensions"].items():
+        for key, value in residuals.items():
+            if not value <= tolerances[key]:
+                print(
+                    f"nonlocality-lab: theorem: N = {n}: {key} residual {value:.3e}"
+                    f" exceeds tolerance {tolerances[key]:.0e}",
+                    file=sys.stderr,
+                )
     return 0 if report["passed"] else 1
 
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from nonlocality_lab import entangled_ops
 from nonlocality_lab.cli import main
 from nonlocality_lab.entangled_ops import MAX_DIM
 
@@ -278,6 +279,28 @@ class TestTheorem:
             main(["theorem", "--nmin", "2", "--nmax", str(MAX_DIM + 1)])
         assert excinfo.value.code == 2
         assert f"nmax <= {MAX_DIM}" in capsys.readouterr().err
+
+    def test_json_spanning_several_trial_blocks_repeats(self, capsys):
+        argv = ("theorem", "--nmin", "2", "--nmax", "4", "--trials", "130", "--json")
+        first = run_cli(capsys, *argv)
+        second = run_cli(capsys, *argv)
+        assert first[0] == 0
+        assert first == second
+
+    @pytest.mark.parametrize("json_flag", ([], ["--json"]), ids=("text", "json"))
+    def test_nan_residual_fails_and_is_named(self, capsys, monkeypatch, json_flag):
+        monkeypatch.setattr(entangled_ops, "joint_expectation", lambda a, b: a[:, 0] * math.nan)
+        code = main(["theorem", "--nmin", "2", "--nmax", "3", "--trials", "3", *json_flag])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "N = 2: joint_vs_dot residual nan" in captured.err
+        assert "N = 3: joint_vs_dot residual nan" in captured.err
+        if json_flag:
+            payload = strict_json(captured.out)
+            assert payload["passed"] is False
+            assert payload["dimensions"]["2"]["joint_vs_dot"] is None
+        else:
+            assert "overall: FAIL" in captured.out
 
 
 @pytest.mark.parametrize(

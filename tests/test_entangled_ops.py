@@ -1,10 +1,12 @@
 """Tests for the maximally-entangled operator algebra."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from nonlocality_lab import entangled_ops
 from nonlocality_lab.entangled_ops import (
     coords_from_observable,
     curve_partition,
@@ -24,6 +26,11 @@ from nonlocality_lab.entangled_ops import (
 )
 
 OMEGA = (-1.0, 0.0, 1.0)
+PAULIS = (
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+)
 
 
 def random_hermitian(n, rng):
@@ -37,6 +44,86 @@ def random_omega_observable(n, rng):
     diag = np.zeros(n)
     diag[0], diag[1] = 1.0, -1.0
     return (q * diag) @ q.conj().T
+
+
+# ---------------------------------------------------------------------------
+# Per-matrix oracles: the loop bodies the stacked functions replaced
+# ---------------------------------------------------------------------------
+
+
+def oracle_coords_from_observable(matrix):
+    n = matrix.shape[0]
+    basis, _ = operator_basis(n)
+    return np.array([np.trace(f @ matrix).real / n for f in basis])
+
+
+def oracle_joint_expectation(a_coords, b_coords):
+    n = math.isqrt(a_coords.size)
+    basis, partners = operator_basis(n)
+    a_op = sum(c * f for c, f in zip(a_coords, basis))
+    b_op = sum(c * g for c, g in zip(b_coords, partners))
+    psi = make_schmidt_state(n).amplitudes.reshape(n, n)
+    return float(np.vdot(psi, a_op @ psi @ b_op.T).real)
+
+
+def oracle_decompose(matrix):
+    n = matrix.shape[0]
+    eigenvalues, vectors = np.linalg.eigh(matrix)
+    order = np.argsort(eigenvalues)[::-1]
+    eigenvalues = eigenvalues[order]
+    vectors = vectors[:, order]
+    alpha0 = float(np.trace(matrix).real / n)
+    operators = []
+    for j in range(n - 1):
+        proj_j = np.outer(vectors[:, j], vectors[:, j].conj())
+        proj_next = np.outer(vectors[:, j + 1], vectors[:, j + 1].conj())
+        operators.append(proj_j - proj_next)
+    coefficients = np.zeros(n - 1)
+    previous = 0.0
+    for j in range(n - 1):
+        coefficients[j] = eigenvalues[j] - alpha0 + previous
+        previous = coefficients[j]
+    return alpha0, coefficients, operators
+
+
+def oracle_kernel_split(matrix, atol=1e-8):
+    """(kernel_projector, support_projector, support_basis, pauli_vector)."""
+    n = matrix.shape[0]
+    eigenvalues, vectors = np.linalg.eigh(matrix)
+    plus = [i for i, v in enumerate(eigenvalues) if abs(v - 1.0) <= atol]
+    minus = [i for i, v in enumerate(eigenvalues) if abs(v + 1.0) <= atol]
+    zero = [i for i, v in enumerate(eigenvalues) if abs(v) <= atol]
+    assert len(plus) == 1 and len(minus) == 1 and len(zero) == n - 2
+    plane = vectors[:, [plus[0], minus[0]]]
+    support_projector = plane @ plane.conj().T
+    frame = []
+    for k in range(n):
+        candidate = support_projector[:, k].copy()
+        for f in frame:
+            candidate -= (f.conj() @ candidate) * f
+        norm = float(np.linalg.norm(candidate))
+        if norm > 1e-6:
+            frame.append(candidate / norm)
+        if len(frame) == 2:
+            break
+    basis = np.stack(frame, axis=1)
+    restricted = basis.conj().T @ matrix @ basis
+    pauli_vector = np.array([float(np.trace(restricted @ s).real) / 2.0 for s in PAULIS])
+    return np.eye(n) - support_projector, support_projector, basis, pauli_vector
+
+
+def oracle_curve_point(a_coords, theta):
+    operator = observable_from_coords(a_coords)
+    kernel, _, basis, pauli_vector = oracle_kernel_split(operator)
+    for axis in np.eye(3):
+        candidate = axis - (axis @ pauli_vector) * pauli_vector
+        if np.linalg.norm(candidate) > 1e-6:
+            generator = candidate / np.linalg.norm(candidate)
+            break
+    sigma_dot = sum(g * s for g, s in zip(generator, PAULIS))
+    unitary_2 = math.cos(theta / 2.0) * np.eye(2) + 1.0j * math.sin(theta / 2.0) * sigma_dot
+    unitary = kernel + basis @ unitary_2 @ basis.conj().T
+    return oracle_coords_from_observable(unitary @ operator @ unitary.conj().T)
 
 
 def partial_trace_right(rho, n):
@@ -386,6 +473,88 @@ class TestCurvePartition:
             curve_partition(np.zeros(4), 0)
 
 
+STACK_DIMS = (2, 3, 6, 16)
+
+
+class TestStackedMatchesOracle:
+    """Each stacked function against its per-matrix oracle, trial by trial."""
+
+    @pytest.mark.parametrize("n", STACK_DIMS)
+    def test_decompose(self, n):
+        rng = np.random.default_rng(70 + n)
+        stack = np.stack([random_hermitian(n, rng) for _ in range(6)])
+        decomp = decompose_observable(stack)
+        for t, h in enumerate(stack):
+            alpha0, coefficients, operators = oracle_decompose(h)
+            single = decompose_observable(h)
+            for got_alpha0, got_coefficients, got_operators in (
+                (decomp.alpha0[t], decomp.coefficients[t], decomp.operators[t]),
+                (single.alpha0, single.coefficients, single.operators),
+            ):
+                assert abs(got_alpha0 - alpha0) < 1e-12
+                np.testing.assert_allclose(got_coefficients, coefficients, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got_operators, operators, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(
+                    np.linalg.eigvalsh(got_operators),
+                    np.linalg.eigvalsh(np.array(operators)), rtol=0, atol=1e-12,
+                )
+
+    @pytest.mark.parametrize("n", STACK_DIMS)
+    def test_kernel_split(self, n):
+        rng = np.random.default_rng(80 + n)
+        stack = np.stack([random_omega_observable(n, rng) for _ in range(6)])
+        split = kernel_split(stack)
+        fields = ("kernel_projector", "support_projector", "support_basis", "pauli_vector")
+        for t, omega_op in enumerate(stack):
+            single = kernel_split(omega_op)
+            for name, want in zip(fields, oracle_kernel_split(omega_op)):
+                for got in (getattr(split, name)[t], getattr(single, name)):
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", STACK_DIMS)
+    def test_coords_and_joint(self, n):
+        rng = np.random.default_rng(90 + n)
+        stack = np.stack([random_hermitian(n, rng) for _ in range(6)])
+        coords = coords_from_observable(stack)
+        a, b = rng.normal(size=(2, 6, n * n))
+        joint = joint_expectation(a, b)
+        assert coords.shape == (6, n * n) and joint.shape == (6,)
+        for t in range(6):
+            np.testing.assert_allclose(
+                coords[t], oracle_coords_from_observable(stack[t]), rtol=0, atol=1e-12
+            )
+            want = oracle_joint_expectation(a[t], b[t])
+            assert abs(joint[t] - want) < 1e-12
+            assert abs(joint_expectation(a[t], b[t]) - want) < 1e-12
+
+    def test_stack_with_one_bad_matrix_is_rejected(self):
+        rng = np.random.default_rng(99)
+        stack = np.stack([random_omega_observable(3, rng) for _ in range(4)])
+        stack[2] = np.diag([1.0, -1.0, 0.5])
+        with pytest.raises(ValueError, match="eigenvalues"):
+            kernel_split(stack)
+        stack[2, 0, 1] += 1.0
+        with pytest.raises(ValueError, match="not Hermitian"):
+            decompose_observable(stack)
+
+    def test_empty_stack(self):
+        empty = np.zeros((0, 3, 3))
+        assert decompose_observable(empty).operators.shape == (0, 2, 3, 3)
+        assert kernel_split(empty).pauli_vector.shape == (0, 3)
+        assert coords_from_observable(empty).shape == (0, 9)
+
+    @pytest.mark.parametrize("n", (2, 3, 6))
+    def test_curve_partition_matches_per_node_oracle(self, n):
+        rng = np.random.default_rng(100 + n)
+        coords = coords_from_observable(random_omega_observable(n, rng))
+        part = curve_partition(coords, 8)
+        for j, node in enumerate(part.nodes):
+            want = oracle_curve_point(coords, j * math.pi / 8)
+            np.testing.assert_allclose(node, want, rtol=0, atol=1e-12)
+            point = curve_point(coords, j * math.pi / 8)
+            np.testing.assert_allclose(point, want, rtol=0, atol=1e-12)
+
+
 class TestTheoremBound:
     def test_single_partition(self):
         assert theorem_bound(1, 1.0, 2) == pytest.approx(1.0, abs=1e-15)
@@ -403,6 +572,16 @@ class TestTheoremBound:
         with pytest.raises(ValueError):
             theorem_bound(0)
 
+    @pytest.mark.parametrize("a_norm_sq", (math.nan, math.inf, -math.inf, -1e-3))
+    def test_rejects_bad_norm(self, a_norm_sq):
+        with pytest.raises(ValueError, match="a_norm_sq"):
+            theorem_bound(4, a_norm_sq)
+
+    @pytest.mark.parametrize("dim", (0, -2))
+    def test_rejects_bad_dim(self, dim):
+        with pytest.raises(ValueError, match="dim"):
+            theorem_bound(4, 1.0, dim)
+
 
 class TestMalusLaw:
     def test_aligned(self):
@@ -418,6 +597,13 @@ class TestMalusLaw:
     def test_requires_unit_vectors(self):
         with pytest.raises(ValueError):
             malus_law([0, 0, 2], [0, 0, 1])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_non_finite_directions(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            malus_law([bad, 0, 0], [0, 0, 1])
+        with pytest.raises(ValueError, match="finite"):
+            malus_law([0, 0, 1], [0, bad, 1])
 
 
 class TestVerificationReport:
@@ -445,3 +631,59 @@ class TestVerificationReport:
         assert set(report["dimensions"]) == {16}
         for key, tol in report["tolerances"].items():
             assert report["dimensions"][16][key] <= tol
+
+    @pytest.mark.parametrize("block", (1, 7))
+    def test_independent_of_trial_block(self, monkeypatch, block):
+        want = verification_report(2, 4, trials=20, seed=5)
+        monkeypatch.setattr(entangled_ops, "TRIAL_BLOCK", block)
+        assert verification_report(2, 4, trials=20, seed=5) == want
+
+    def test_memory_is_bounded_per_block(self):
+        trials = 3 * entangled_ops.TRIAL_BLOCK
+        tracemalloc.start()
+        try:
+            report = verification_report(16, 16, trials=trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["passed"]
+        assert peak < 32 * 2**20
+
+    def test_linear_algebra_calls_do_not_grow_with_trials(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        counts = []
+        for trials in (5, 50):
+            calls.clear()
+            verification_report(2, 6, trials=trials)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+    def test_nan_residual_fails(self, monkeypatch):
+        monkeypatch.setattr(entangled_ops, "joint_expectation", lambda a, b: a[:, 0] * math.nan)
+        report = verification_report(2, 3, trials=3)
+        assert math.isnan(report["dimensions"][2]["joint_vs_dot"])
+        assert report["passed"] is False
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_non_finite_curve_fails(self, monkeypatch, bad):
+        # svd raises LinAlgError on a NaN node
+        partition = entangled_ops.curve_partition
+
+        def broken(coords, n):
+            part = partition(coords, n)
+            part.nodes[3, 0] = bad
+            return part
+
+        monkeypatch.setattr(entangled_ops, "curve_partition", broken)
+        report = verification_report(2, 3, trials=3)
+        residuals = report["dimensions"][2]
+        assert math.isnan(residuals["curve_planarity"])
+        assert not residuals["curve_norm"] <= report["tolerances"]["curve_norm"]
+        assert report["passed"] is False
