@@ -18,7 +18,6 @@ from .correlations import (
     CorrelationSet,
     IndependenceResult,
     NonlocalityClass,
-    NoSignalingResult,
     OutcomeWitness,
     ParameterWitness,
     check_no_signaling,

@@ -33,11 +33,12 @@ __all__ = [
     "ChshReport",
     "OutcomeWitness",
     "ParameterWitness",
-    "NoSignalingResult",
     "IndependenceResult",
     "sign_of_bit",
     "correlation_from_table",
+    "chsh_class_codes",
     "classify_chsh",
+    "chsh_sum",
     "chsh_value",
     "check_no_signaling",
     "check_outcome_independence",
@@ -199,12 +200,6 @@ class ParameterWitness:
 
 
 @dataclass(frozen=True)
-class NoSignalingResult:
-    ok: bool
-    max_deviation: float
-
-
-@dataclass(frozen=True)
 class IndependenceResult:
     ok: bool
     max_deviation: float
@@ -223,24 +218,32 @@ def correlation_from_table(table: BoxTable, x: int, y: int) -> float:
     return value
 
 
+def chsh_class_codes(f) -> np.ndarray:
+    """Elementwise class of CHSH values as an index into ``NonlocalityClass``:
+    0 local (|f| <= 2), 1 quantum nonlocal (|f| <= 2*sqrt(2)), else 2 (NaN too)."""
+    abs_f = np.abs(f)
+    return np.select([abs_f <= 2.0, abs_f <= TSIRELSON_BOUND], [0, 1], 2)
+
+
 def classify_chsh(f: float) -> NonlocalityClass:
-    if abs(f) <= 2.0:
-        return NonlocalityClass.LOCAL
-    if abs(f) <= TSIRELSON_BOUND:
-        return NonlocalityClass.QUANTUM_NONLOCAL
-    return NonlocalityClass.SUPERQUANTUM
+    return tuple(NonlocalityClass)[int(chsh_class_codes(f))]
+
+
+def chsh_sum(e):
+    """CHSH combination e[0] + e[1] + e[2] - e[3] over a leading axis of
+    length 4 in the order (a,b), (a,b'), (a',b), (a',b'); elementwise below it."""
+    return e[0] + e[1] + e[2] - e[3]
 
 
 def chsh_value(corr: CorrelationSet) -> ChshReport:
     """CHSH combination f = E(a,b) + E(a,b') + E(a',b) - E(a',b')."""
-    f = corr.e_ab + corr.e_ab_prime + corr.e_a_prime_b - corr.e_a_prime_b_prime
+    f = chsh_sum((corr.e_ab, corr.e_ab_prime, corr.e_a_prime_b, corr.e_a_prime_b_prime))
     return ChshReport(f=f, nonlocality=classify_chsh(f))
 
 
-def check_no_signaling(table: BoxTable, atol: float = ATOL) -> NoSignalingResult:
-    """No marginal may depend on the remote setting: the PI scan, no witness."""
-    result = check_parameter_independence(table, atol)
-    return NoSignalingResult(ok=result.ok, max_deviation=result.max_deviation)
+def check_no_signaling(table: BoxTable, atol: float = ATOL) -> IndependenceResult:
+    """No marginal may depend on the remote setting: the PI scan, witness included."""
+    return check_parameter_independence(table, atol)
 
 
 def check_outcome_independence(

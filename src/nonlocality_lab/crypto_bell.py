@@ -26,16 +26,18 @@ to 0, and a product of two signs differs from its value at the pole mu = 0
 only on two antipodal arcs, whose |sin mu| weight is a difference of two
 sines.  One numpy kernel evaluates this for a whole array of tau values and
 a stack of one- or two-vector sets at once; every correlation, CHSH value,
-tau average and region scan in this module goes through it.  The scan
-stacks whole alpha rows into blocks of about 1.5k cells, one kernel call
-each, and returns its values as arrays (``RegionScan``) that
-``scan_to_csv`` writes row by row.  The tau averages are one kernel call
-each, on the nodes of a fixed Gauss-Legendre rule graded geometrically
-toward the tau where the integrand has a kink or a boundary layer
-(``_tau_rule``).  A dense Riemann sum is kept in the test suite as an
-independent cross-check; closed-form expressions (see ``chi_functions``)
-are evaluated both as printed and in a normalized variant and compared
-against the exact integrator, never trusted over it.
+tau average and region scan in this module goes through it.  The settings
+stack the same way: ``four_directions`` takes an array of alpha and
+``rotated_settings`` (..., 3) stacks, row by row, so the scan rotates its
+whole family in one call.  It stacks whole alpha rows into blocks of about
+1.5k cells, one kernel call each, and returns its values as arrays
+(``RegionScan``) that ``scan_to_csv`` writes row by row.  The tau averages
+are one kernel call each, on the nodes of a fixed Gauss-Legendre rule
+graded geometrically toward the tau where the integrand has a kink or a
+boundary layer (``_tau_rule``).  A dense Riemann sum is kept in the test
+suite as an independent cross-check; closed-form expressions (see
+``chi_functions``) are evaluated both as printed and in a normalized
+variant and compared against the exact integrator, never trusted over it.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._rng import substream
-from .correlations import TSIRELSON_BOUND, NonlocalityClass, classify_chsh
+from .correlations import NonlocalityClass, chsh_class_codes, chsh_sum, classify_chsh
 from .singlet_sim import SphereSampler, _chunked_estimate, as_unit_vector, sgn
 
 __all__ = [
@@ -145,40 +147,40 @@ class RotatedPair:
 
     a_hat and b_hat stay in the plane of (a, b), symmetric about the
     bisector of the original angle omega, at the new angle
-    omega_hat = pi * sin^2(omega / 2).
+    omega_hat = pi * sin^2(omega / 2).  For stacked inputs every field
+    carries the leading axes: a_hat, b_hat (..., 3), omega, omega_hat (...).
     """
 
     a_hat: np.ndarray
     b_hat: np.ndarray
-    omega: float
-    omega_hat: float
+    omega: float | np.ndarray
+    omega_hat: float | np.ndarray
 
 
 def rotated_settings(a, b) -> RotatedPair:
     """Rotate (a, b) within their plane to the angle pi * sin^2(omega / 2).
 
-    Both vectors move symmetrically so the bisector is preserved.  For the
-    degenerate antiparallel case omega = pi, the bisector is ambiguous, but
-    every in-plane choice gives b_hat = -a_hat = -a, which is returned
-    exactly.
+    ``a`` and ``b`` are unit 3-vectors or (..., 3) stacks, broadcast row
+    against row; each row is computed alone, so a row of a stacked call is
+    bit-identical to the call on that row.  The bisector is preserved.  The
+    degenerate rows are exact: omega = 0 gives (a, a), and omega = pi, whose
+    bisector is ambiguous, gives (a, -a), as every in-plane choice does.
     """
-    a = as_unit_vector(a)
-    b = as_unit_vector(b)
-    dot = float(np.clip(a @ b, -1.0, 1.0))
-    omega = math.atan2(float(np.linalg.norm(np.cross(a, b))), dot)
-    omega_hat = math.pi * math.sin(omega / 2.0) ** 2
-    mid = a + b
-    norm_mid = float(np.linalg.norm(mid))
-    if norm_mid <= 1e-12:  # omega = pi
-        return RotatedPair(a.copy(), -a, omega, omega_hat)
-    bisector = mid / norm_mid
-    diff = a - b
-    norm_diff = float(np.linalg.norm(diff))
-    if norm_diff < 1e-12:  # omega = 0
-        return RotatedPair(a.copy(), a.copy(), omega, omega_hat)
-    side = diff / norm_diff
-    c, s = math.cos(omega_hat / 2.0), math.sin(omega_hat / 2.0)
-    return RotatedPair(c * bisector + s * side, c * bisector - s * side, omega, omega_hat)
+    a, b = as_unit_vector(a), as_unit_vector(b)
+    dot = np.clip(np.sum(a * b, axis=-1), -1.0, 1.0)
+    omega = np.arctan2(np.linalg.norm(np.cross(a, b), axis=-1), dot)
+    omega_hat = math.pi * np.sin(omega / 2.0) ** 2
+    mid, diff = a + b, a - b
+    norm_mid = np.linalg.norm(mid, axis=-1, keepdims=True)
+    norm_diff = np.linalg.norm(diff, axis=-1, keepdims=True)
+    antiparallel = norm_mid <= 1e-12  # omega = pi
+    parallel = norm_diff < 1e-12  # omega = 0
+    bisector = mid / np.where(antiparallel, 1.0, norm_mid)
+    side = diff / np.where(parallel, 1.0, norm_diff)
+    c, s = np.cos(omega_hat / 2.0)[..., None], np.sin(omega_hat / 2.0)[..., None]
+    a_hat = np.where(antiparallel | parallel, a, c * bisector + s * side)
+    b_hat = np.where(antiparallel, -a, np.where(parallel, a, c * bisector - s * side))
+    return RotatedPair(a_hat, b_hat, omega, omega_hat)
 
 
 def model_outcomes(a, b, mu: float, tau: float) -> tuple[int, int]:
@@ -273,7 +275,7 @@ def mc_joint_correlation(a, b, n: int, seed: int) -> tuple[float, float]:
 class FourDirectionFamily:
     """CHSH settings in the (x, z)-plane, tilted by alpha in [0, pi/4]."""
 
-    alpha: float
+    alpha: float | np.ndarray
     a: np.ndarray
     a_prime: np.ndarray
     b: np.ndarray
@@ -289,18 +291,15 @@ class FourDirectionFamily:
         )
 
 
-def four_directions(alpha: float) -> FourDirectionFamily:
-    if not 0.0 <= alpha <= math.pi / 4.0 + 1e-12:
+def four_directions(alpha) -> FourDirectionFamily:
+    """The family at alpha, a float or an array; for an array each vector is
+    a stack (..., 3) over it, whose rows equal the calls at each alpha."""
+    angles = np.asarray(alpha, dtype=float)
+    if not np.all((angles >= 0.0) & (angles <= math.pi / 4.0 + 1e-12)):  # NaN fails
         raise ValueError(f"alpha must lie in [0, pi/4], got {alpha}")
-    sa, ca = math.sin(alpha), math.cos(alpha)
-    s3, c3 = math.sin(3.0 * alpha), math.cos(3.0 * alpha)
-    return FourDirectionFamily(
-        alpha=alpha,
-        a=np.array([sa, 0.0, ca]),
-        a_prime=np.array([-s3, 0.0, c3]),
-        b=np.array([-sa, 0.0, ca]),
-        b_prime=np.array([s3, 0.0, c3]),
-    )
+    theta = np.multiply.outer(angles, [1.0, -3.0, -1.0, 3.0])  # polar angles of a, a', b, b'
+    vectors = np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=-1)
+    return FourDirectionFamily(alpha, *np.moveaxis(vectors, -2, 0))
 
 
 def gamma_functions(alpha: float) -> tuple[float, float, float, float]:
@@ -380,10 +379,12 @@ class ConditionalChsh:
     nonlocality: NonlocalityClass
 
 
-def _rotated_family(alpha: float) -> np.ndarray:
-    """The family's rotated pairs (a_hat, b_hat) in CHSH order, shape (4, 2, 3)."""
-    rotated = (rotated_settings(u, v) for u, v in four_directions(alpha).pairs())
-    return np.array([(pair.a_hat, pair.b_hat) for pair in rotated])
+def _rotated_family(alpha) -> np.ndarray:
+    """The family's rotated pairs (a_hat, b_hat) in CHSH order, shape
+    (..., 4, 2, 3) for alpha of shape (...), in one ``rotated_settings`` call."""
+    lefts, rights = zip(*four_directions(alpha).pairs())
+    pair = rotated_settings(np.stack(lefts, axis=-2), np.stack(rights, axis=-2))
+    return np.stack([pair.a_hat, pair.b_hat], axis=-2)
 
 
 def _family_chsh(pairs: np.ndarray, taus) -> tuple[np.ndarray, np.ndarray]:
@@ -391,7 +392,7 @@ def _family_chsh(pairs: np.ndarray, taus) -> tuple[np.ndarray, np.ndarray]:
     (..., T), of rotated pairs stacked as by ``_rotated_family``, shape
     (..., 4, 2, 3), in one kernel call."""
     e = -_arc_average(pairs, taus)
-    return e, e[..., 0, :] + e[..., 1, :] + e[..., 2, :] - e[..., 3, :]
+    return e, chsh_sum(np.moveaxis(e, -2, 0))
 
 
 def conditional_chsh(alpha: float, tau: float) -> ConditionalChsh:
@@ -454,9 +455,6 @@ def closed_form_chsh(alpha: float, tau: float) -> ClosedFormComparison:
     normalized = closed_form_correlations(alpha, tau, normalized=True)
     exact_e = (exact.e_ab, exact.e_ab_prime, exact.e_a_prime_b, exact.e_a_prime_b_prime)
 
-    def chsh_of(e):
-        return e[0] + e[1] + e[2] - e[3]
-
     def max_dev(e):
         return max(abs(u - v) for u, v in zip(e, exact_e))
 
@@ -465,8 +463,8 @@ def closed_form_chsh(alpha: float, tau: float) -> ClosedFormComparison:
         exact=exact,
         printed=printed,
         normalized=normalized,
-        printed_f=chsh_of(printed),
-        normalized_f=chsh_of(normalized),
+        printed_f=chsh_sum(printed),
+        normalized_f=chsh_sum(normalized),
         printed_max_dev=math.inf if singular else max_dev(printed),
         normalized_max_dev=math.inf if singular else max_dev(normalized),
         singular=singular,
@@ -486,9 +484,7 @@ def singlet_reference(a, b) -> float:
 def quantum_chsh_reference(alpha: float) -> float:
     """Singlet CHSH value on the tilted family, straight from dot products
     (works out to -3 cos(2 alpha) + cos(6 alpha))."""
-    family = four_directions(alpha)
-    e = [singlet_reference(u, v) for u, v in family.pairs()]
-    return e[0] + e[1] + e[2] - e[3]
+    return chsh_sum([singlet_reference(u, v) for u, v in four_directions(alpha).pairs()])
 
 
 #: The tau rule: cells that halve TAU_LEVELS times toward both ends of each
@@ -610,16 +606,14 @@ def region_scan(n_alpha: int = 200, n_tau: int = 200) -> RegionScan:
         raise ValueError("grid dimensions must be >= 2")
     alphas = (np.arange(n_alpha) + 0.5) * (math.pi / 4.0) / n_alpha
     taus = (np.arange(n_tau) + 0.5) * math.pi / n_tau
+    pairs = _rotated_family(alphas)
     rows = max(1, _SCAN_BLOCK_CELLS // n_tau)
     e = np.empty((n_alpha, 4, n_tau))
     f = np.empty((n_alpha, n_tau))
     for start in range(0, n_alpha, rows):
         stop = min(start + rows, n_alpha)
-        pairs = np.array([_rotated_family(alpha) for alpha in alphas[start:stop].tolist()])
-        e[start:stop], f[start:stop] = _family_chsh(pairs, taus)
-    abs_f = np.abs(f)  # classify_chsh's thresholds, both non-strict
-    codes = np.select([abs_f <= 2.0, abs_f <= TSIRELSON_BOUND], [0, 1], 2)
-    return RegionScan(alphas, taus, e, f, codes)
+        e[start:stop], f[start:stop] = _family_chsh(pairs[start:stop], taus)
+    return RegionScan(alphas, taus, e, f, chsh_class_codes(f))
 
 
 def scan_to_csv(scan: RegionScan, path: str) -> None:

@@ -49,10 +49,14 @@ def sgn(r: float) -> int:
 
 
 def as_unit_vector(v, atol: float = 1e-9) -> np.ndarray:
-    """Validate and return a finite 3-vector of unit length."""
-    arr = np.asarray(v, dtype=float).reshape(3)
-    if not np.all(np.isfinite(arr)) or abs(arr @ arr - 1.0) > atol:
-        raise ValueError(f"expected a finite unit vector, got squared norm {arr @ arr}")
+    """Validate and return a finite unit 3-vector, or a (..., 3) stack of them."""
+    arr = np.asarray(v, dtype=float)
+    if arr.ndim == 0 or arr.shape[-1] != 3:
+        raise ValueError(f"expected a 3-vector or a (..., 3) stack, got shape {arr.shape}")
+    norm_sq = (arr * arr).sum(axis=-1)
+    unit = abs(norm_sq - 1.0) <= atol  # False for NaN and inf rows
+    if not unit.all():
+        raise ValueError(f"expected finite unit vectors, got squared norm {norm_sq[~unit].flat[0]}")
     return arr
 
 

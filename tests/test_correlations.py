@@ -18,6 +18,8 @@ from nonlocality_lab.correlations import (
     check_no_signaling,
     check_outcome_independence,
     check_parameter_independence,
+    chsh_class_codes,
+    chsh_sum,
     chsh_value,
     classify_chsh,
     correlation_from_table,
@@ -283,6 +285,26 @@ class TestChsh:
             is NonlocalityClass.SUPERQUANTUM
         )
 
+    def test_class_codes_match_classify(self):
+        values = np.array(
+            [0.0, 2.0, -2.0, np.nextafter(2.0, 3.0), TSIRELSON_BOUND, -TSIRELSON_BOUND,
+             np.nextafter(TSIRELSON_BOUND, 4.0), 4.0, -math.inf, math.nan]
+        )
+        codes = chsh_class_codes(values.reshape(2, 5))
+        assert codes.shape == (2, 5)
+        assert codes.ravel().tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 2]
+        for value, code in zip(values.tolist(), codes.ravel().tolist()):
+            assert classify_chsh(value) is tuple(NonlocalityClass)[code]
+        assert classify_chsh(math.nan) is NonlocalityClass.SUPERQUANTUM
+
+    def test_sum_over_leading_axis(self):
+        e = np.random.default_rng(5).uniform(-1.0, 1.0, size=(4, 3, 2))
+        f = chsh_sum(e)
+        assert f.shape == (3, 2)
+        for i, j in np.ndindex(3, 2):
+            corr = CorrelationSet(*e[:, i, j].tolist())
+            assert f[i, j] == chsh_value(corr).f
+
     unit_interval = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
     @given(unit_interval, unit_interval, unit_interval, unit_interval)
@@ -318,6 +340,8 @@ class TestNoSignaling:
         result = check_no_signaling(BoxTable(probs))
         assert not result.ok
         assert result.max_deviation == pytest.approx(0.5)
+        assert result == check_parameter_independence(BoxTable(probs))
+        assert result.witness == ParameterWitness("a", 0, 0, 1.0, 0.5)
 
     @given(product_tables())
     @settings(max_examples=50)

@@ -8,6 +8,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from nonlocality_lab import crypto_bell
 from nonlocality_lab.correlations import classify_chsh
 from nonlocality_lab.crypto_bell import (
     TAU_LEVELS,
@@ -15,6 +16,7 @@ from nonlocality_lab.crypto_bell import (
     _SCAN_BLOCK_CELLS,
     ConditionalChsh,
     RegionScan,
+    RotatedPair,
     _arc_average,
     _family_chsh,
     _rotated_family,
@@ -50,6 +52,45 @@ TWO_PI = 2.0 * PI
 def random_unit(rng):
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
+
+
+def oracle_rotated_settings(a, b) -> RotatedPair:
+    """Oracle for ``rotated_settings``: the one-pair body in scalar math."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    dot = float(np.clip(a @ b, -1.0, 1.0))
+    omega = math.atan2(float(np.linalg.norm(np.cross(a, b))), dot)
+    omega_hat = math.pi * math.sin(omega / 2.0) ** 2
+    mid = a + b
+    norm_mid = float(np.linalg.norm(mid))
+    if norm_mid <= 1e-12:  # omega = pi
+        return RotatedPair(a.copy(), -a, omega, omega_hat)
+    bisector = mid / norm_mid
+    diff = a - b
+    norm_diff = float(np.linalg.norm(diff))
+    if norm_diff < 1e-12:  # omega = 0
+        return RotatedPair(a.copy(), a.copy(), omega, omega_hat)
+    side = diff / norm_diff
+    c, s = math.cos(omega_hat / 2.0), math.sin(omega_hat / 2.0)
+    return RotatedPair(c * bisector + s * side, c * bisector - s * side, omega, omega_hat)
+
+
+def mixed_pair_stack(rng, n=400):
+    """(n, 3) stacks (a, b): random rows with b = a, b = -a and nearly
+    antiparallel rows (b = -a tilted by 1e-14 to 1e-4) mixed in; returns
+    a, b and the mask of the exactly degenerate rows."""
+    a = rng.normal(size=(n, 3))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    b = rng.normal(size=(n, 3))
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    kind = rng.integers(0, 4, size=n)  # 0 random, 1 equal, 2 antiparallel, 3 nearly antiparallel
+    b[kind == 1] = a[kind == 1]
+    b[kind == 2] = -a[kind == 2]
+    near = np.flatnonzero(kind == 3)
+    tilt = 10.0 ** rng.uniform(-14.0, -4.0, size=near.size)[:, None]
+    nudged = -a[near] + tilt * np.cross(a[near], rng.normal(size=(near.size, 3)))
+    b[near] = nudged / np.linalg.norm(nudged, axis=1, keepdims=True)
+    return a, b, (kind == 1) | (kind == 2)
 
 
 def riemann_correlation(a, b, tau, nodes=100_000):
@@ -229,6 +270,58 @@ class TestRotatedSettings:
         assert pair.omega_hat == pytest.approx(PI)
         np.testing.assert_array_equal(pair.a_hat, a)
         np.testing.assert_array_equal(pair.b_hat, -a)
+
+
+class TestStackedRotation:
+    def test_matches_scalar_oracle(self):
+        a, b, degenerate = mixed_pair_stack(np.random.default_rng(11))
+        pair = rotated_settings(a, b)
+        assert pair.a_hat.shape == pair.b_hat.shape == a.shape
+        assert pair.omega.shape == pair.omega_hat.shape == a.shape[:1]
+        for i in range(len(a)):
+            want = oracle_rotated_settings(a[i], b[i])
+            for got, exp in ((pair.a_hat[i], want.a_hat), (pair.b_hat[i], want.b_hat)):
+                if degenerate[i]:
+                    np.testing.assert_array_equal(got, exp)
+                else:
+                    np.testing.assert_allclose(got, exp, rtol=0.0, atol=1e-15)
+            assert pair.omega[i] == pytest.approx(want.omega, abs=1e-15)
+            assert pair.omega_hat[i] == pytest.approx(want.omega_hat, abs=1e-15)
+
+    def test_rows_equal_single_calls_bitwise(self):
+        a, b, _ = mixed_pair_stack(np.random.default_rng(12), n=200)
+        stacked = rotated_settings(a.reshape(10, 20, 3), b.reshape(10, 20, 3))
+        for i, j in np.ndindex(10, 20):
+            single = rotated_settings(a[20 * i + j], b[20 * i + j])
+            assert single.a_hat.shape == (3,)
+            assert single.a_hat.tobytes() == stacked.a_hat[i, j].tobytes()
+            assert single.b_hat.tobytes() == stacked.b_hat[i, j].tobytes()
+            assert single.omega == stacked.omega[i, j]
+            assert single.omega_hat == stacked.omega_hat[i, j]
+
+    def test_broadcasts_one_vector_against_a_stack(self):
+        a, b, _ = mixed_pair_stack(np.random.default_rng(13), n=20)
+        pair = rotated_settings(a[0], b)
+        for j in range(len(b)):
+            assert pair.b_hat[j].tobytes() == rotated_settings(a[0], b[j]).b_hat.tobytes()
+
+    def test_family_stack_equals_per_alpha_calls(self):
+        alphas = (np.arange(1000) + 0.5) * (PI / 4.0) / 1000
+        stacked = _rotated_family(alphas)
+        assert stacked.shape == (1000, 4, 2, 3)
+        for i, alpha in enumerate(alphas.tolist()):
+            assert stacked[i].tobytes() == _rotated_family(alpha).tobytes()
+
+    def test_region_scan_rotates_once(self, monkeypatch):
+        calls = []
+
+        def spy(a, b):
+            calls.append(np.shape(a))
+            return rotated_settings(a, b)
+
+        monkeypatch.setattr(crypto_bell, "rotated_settings", spy)
+        region_scan(1000, 40)
+        assert calls == [(1000, 4, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +583,22 @@ class TestFourDirections:
             four_directions(-0.1)
         with pytest.raises(ValueError):
             four_directions(PI / 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1e-3, PI / 4 + 1e-9, math.inf])
+    def test_array_with_one_bad_alpha_rejected(self, bad):
+        alphas = np.linspace(0.0, PI / 4, 7)
+        alphas[3] = bad
+        with pytest.raises(ValueError, match="alpha"):
+            four_directions(alphas)
+
+    def test_array_rows_equal_scalar_calls(self):
+        alphas = np.linspace(0.0, PI / 4, 37)
+        stacked = four_directions(alphas)
+        for i, alpha in enumerate(alphas.tolist()):
+            single = four_directions(alpha)
+            assert single.alpha == alpha and single.a.shape == (3,)
+            for name in ("a", "a_prime", "b", "b_prime"):
+                assert getattr(stacked, name)[i].tobytes() == getattr(single, name).tobytes()
 
 
 class TestGammaAndChi:

@@ -1,6 +1,7 @@
 """Tests for the PR-box singlet simulation."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -230,6 +231,21 @@ class TestEstimator:
     def test_unit_vector_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
             as_unit_vector(bad)
+
+    def test_unit_vector_stack_passes_through(self):
+        stack = np.array([[Z, X], [A_DIR, B_DIR]])
+        assert as_unit_vector(stack).tobytes() == stack.tobytes()
+
+    @pytest.mark.parametrize("bad", [[math.nan, 0, 0], [0, -math.inf, 0], [0, 0, 1.1], [0, 0, 0]])
+    def test_unit_vector_rejects_one_bad_row(self, bad):
+        stack = np.array([[Z, X, A_DIR], [B_DIR, bad, Z]])
+        with pytest.raises(ValueError, match="finite unit vectors"):
+            as_unit_vector(stack)
+
+    @pytest.mark.parametrize("shape", [(3, 1), (2, 2), (4,), (), (5, 0)])
+    def test_unit_vector_rejects_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            as_unit_vector(np.ones(shape) / math.sqrt(3.0))
 
     def test_determinism(self):
         e1 = estimate_singlet_correlation(Z, X, 5000, 42)
