@@ -46,8 +46,7 @@ __all__ = [
     "locality_check",
 ]
 
-#: Default absolute tolerance for table-level equality checks.  Tables built
-#: from Monte Carlo estimates should pass an explicit looser tolerance.
+#: Absolute tolerance of every table-level equality check.
 ATOL = 1e-12
 
 #: Quantum-mechanical maximum of |F|.
@@ -241,14 +240,12 @@ def chsh_value(corr: CorrelationSet) -> ChshReport:
     return ChshReport(f=f, nonlocality=classify_chsh(f))
 
 
-def check_no_signaling(table: BoxTable, atol: float = ATOL) -> IndependenceResult:
+def check_no_signaling(table: BoxTable) -> IndependenceResult:
     """No marginal may depend on the remote setting: the PI scan, witness included."""
-    return check_parameter_independence(table, atol)
+    return check_parameter_independence(table)
 
 
-def check_outcome_independence(
-    table: BoxTable, atol: float = ATOL
-) -> IndependenceResult:
+def check_outcome_independence(table: BoxTable) -> IndependenceResult:
     """P(a | x, y, b) = P(a | x, y) and symmetrically, wherever defined.
 
     Conditionals on zero-probability outcomes are skipped, not treated as
@@ -265,7 +262,7 @@ def check_outcome_independence(
                         denom = table.marginal_b(x, y, given)
                     else:
                         denom = table.marginal_a(x, y, given)
-                    if denom <= atol:
+                    if denom <= ATOL:
                         continue
                     for outcome in BITS:
                         if party == "a":
@@ -277,7 +274,7 @@ def check_outcome_independence(
                         conditional = joint / denom
                         gap = abs(conditional - marginal)
                         deviation = max(deviation, gap)
-                        if gap > atol and witness is None:
+                        if gap > ATOL and witness is None:
                             witness = OutcomeWitness(
                                 party, x, y, given, outcome, conditional, marginal
                             )
@@ -286,9 +283,7 @@ def check_outcome_independence(
     )
 
 
-def check_parameter_independence(
-    table: BoxTable, atol: float = ATOL
-) -> IndependenceResult:
+def check_parameter_independence(table: BoxTable) -> IndependenceResult:
     """P(a | x, y) = P(a | x) and symmetrically.
 
     At the table level this coincides with marginal invariance under the
@@ -308,12 +303,12 @@ def check_parameter_independence(
                 p0, p1 = (float(p) for p in marginal[setting, :, outcome])
                 gap = abs(p0 - p1)
                 deviation = max(deviation, gap)
-                if gap > atol and witness is None:
+                if gap > ATOL and witness is None:
                     witness = ParameterWitness(party, setting, outcome, p0, p1)
     return IndependenceResult(ok=witness is None, max_deviation=deviation, witness=witness)
 
 
-def locality_check(table: BoxTable, atol: float = ATOL) -> bool:
+def locality_check(table: BoxTable) -> bool:
     """True iff P(a, b | x, y) factorizes as P(a | x) P(b | y).
 
     Candidate marginals are read off the table itself (at remote setting 0);
@@ -324,4 +319,4 @@ def locality_check(table: BoxTable, atol: float = ATOL) -> bool:
     pa = probs[:, 0].sum(axis=2)  # P(a | x), indexed [x, a]
     pb = probs[0].sum(axis=1)  # P(b | y), indexed [y, b]
     product = pa[:, None, :, None] * pb[None, :, None, :]
-    return bool(np.all(np.abs(probs - product) <= atol))
+    return bool(np.all(np.abs(probs - product) <= ATOL))

@@ -25,19 +25,23 @@ The mu-integral is evaluated EXACTLY: on a great circle one sign averages
 to 0, and a product of two signs differs from its value at the pole mu = 0
 only on two antipodal arcs, whose |sin mu| weight is a difference of two
 sines.  One numpy kernel evaluates this for a whole array of tau values and
-a stack of one- or two-vector sets at once; every correlation, CHSH value,
-tau average and region scan in this module goes through it.  The settings
+a stack of one- or two-vector sets at once; every fixed-tau correlation,
+CHSH value and region scan in this module goes through it.  The settings
 stack the same way: ``four_directions`` takes an array of alpha and
 ``rotated_settings`` (..., 3) stacks, row by row, so the scan rotates its
 whole family in one call.  It stacks whole alpha rows into blocks of about
 1.5k cells, one kernel call each, and returns its values as arrays
-(``RegionScan``) that ``scan_to_csv`` writes row by row.  The tau averages
-are one kernel call each, on the nodes of a fixed Gauss-Legendre rule
-graded geometrically toward the tau where the integrand has a kink or a
-boundary layer (``_tau_rule``).  A dense Riemann sum is kept in the test
-suite as an independent cross-check; closed-form expressions (see
-``chi_functions``) are evaluated both as printed and in a normalized
-variant and compared against the exact integrator, never trusted over it.
+(``RegionScan``) that ``scan_to_csv`` writes row by row.
+
+The tau averages are EXACT as well: a pair averages to s_1 s_2 (1 -
+|t_1 - t_2|) on the circle tau, where each root offset t has the closed
+antiderivative s atan2(v_x sin tau - v_y cos tau, |(v_z, q)|), so the
+integral over tau is a sum of increments between the few breakpoints
+where t_1 - t_2 may change sign (``_tau_integral``).  A dense Riemann sum
+is kept in the test suite as an independent cross-check; closed-form
+expressions (see ``chi_functions``) are evaluated both as printed and in a
+normalized variant and compared against the exact integrator, never
+trusted over it.
 """
 
 from __future__ import annotations
@@ -167,12 +171,11 @@ def rotated_settings(a, b) -> RotatedPair:
     bisector is ambiguous, gives (a, -a), as every in-plane choice does.
     """
     a, b = as_unit_vector(a), as_unit_vector(b)
-    dot = np.clip(np.sum(a * b, axis=-1), -1.0, 1.0)
-    omega = np.arctan2(np.linalg.norm(np.cross(a, b), axis=-1), dot)
-    omega_hat = math.pi * np.sin(omega / 2.0) ** 2
     mid, diff = a + b, a - b
     norm_mid = np.linalg.norm(mid, axis=-1, keepdims=True)
     norm_diff = np.linalg.norm(diff, axis=-1, keepdims=True)
+    omega = 2.0 * np.arctan2(norm_diff[..., 0], norm_mid[..., 0])
+    omega_hat = math.pi * np.sin(omega / 2.0) ** 2
     antiparallel = norm_mid <= 1e-12  # omega = pi
     parallel = norm_diff < 1e-12  # omega = 0
     bisector = mid / np.where(antiparallel, 1.0, norm_mid)
@@ -487,55 +490,51 @@ def quantum_chsh_reference(alpha: float) -> float:
     return chsh_sum([singlet_reference(u, v) for u, v in four_directions(alpha).pairs()])
 
 
-#: The tau rule: cells that halve TAU_LEVELS times toward both ends of each
-#: interval between breakpoints, with TAU_ORDER Gauss-Legendre nodes per cell.
-TAU_LEVELS = 26
-TAU_ORDER = 12
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(TAU_ORDER)
+def _tau_integral(pairs) -> np.ndarray:
+    """int_0^pi g(tau) dtau, exact, g the ``_arc_average`` of each pair of the
+    stack ``pairs`` (..., 2, 3); the result has shape (...).
 
-
-def _tau_rule(vectors) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for int_0^pi g(tau) dtau, g the ``_arc_average`` of
-    the vector stack ``vectors`` (..., k, 3).
-
-    g is smooth between the breakpoints 0, pi, tau_v = azimuth(v) + pi/2 for
-    each v, and azimuth(u x v) for each pair u, v of a set, where their roots
-    cross (all mod pi).  Near tau_v the root of v swings by pi within a layer
-    |tau - tau_v| ~ |v_z| / |v_xy| of any width, hence the geometric mesh
-    (Davis & Rabinowitz 1984; Schwab 1998).
+    g = s_1 s_2 (1 - |t_1 - t_2|), where s = sgn(v_z) does not depend on tau
+    and t = s q / |(v_z, q)|, q = v_x cos(tau) + v_y sin(tau), has the
+    antiderivative T = s atan2(v_x sin(tau) - v_y cos(tau), |(v_z, q)|); the
+    atan2 keeps full precision as v_z -> 0, where t turns into a step.
+    t_1 - t_2 keeps one sign between the breakpoints 0, pi, tau_v =
+    azimuth(v) + pi/2 for each v (the step of t when v_z = 0) and
+    azimuth(u x v), where the roots cross (all mod pi), so its integral is
+    the sum of |T_1 - T_2| increments between them.
     """
-    v = np.asarray(vectors, dtype=float)
-    i, j = np.triu_indices(v.shape[-2], 1)
-    crosses = np.cross(v[..., i, :], v[..., j, :])
-    orthogonal = np.arctan2(v[..., 1], v[..., 0]).ravel() + math.pi / 2.0
-    crossing = np.arctan2(crosses[..., 1], crosses[..., 0]).ravel()
-    breaks = np.unique(np.concatenate([[0.0, math.pi], orthogonal % math.pi, crossing % math.pi]))
-    half = np.concatenate([[0.0], 0.5 ** np.arange(TAU_LEVELS, 0, -1)])  # 0, 2**-L, ..., 1/2
-    unit = np.concatenate([half, 1.0 - half[-2::-1]])  # cell edges on [0, 1]
-    edges = breaks[:-1, None] + np.diff(breaks)[:, None] * unit  # (intervals, cells + 1)
-    lo, width = edges[:, :-1, None], np.diff(edges)[..., None]
-    nodes = lo + width * (_GAUSS_NODES + 1.0) / 2.0
-    return nodes.ravel(), (width * _GAUSS_WEIGHTS / 2.0).ravel()
+    v = np.asarray(pairs, dtype=float)
+    x, y, z = np.moveaxis(v, -1, 0)  # (..., 2)
+    cross = np.cross(v[..., 0, :], v[..., 1, :])[..., None, :]
+    azimuths = np.concatenate(
+        [np.arctan2(x, -y), np.arctan2(cross[..., 1], cross[..., 0])], axis=-1
+    )
+    ends = np.broadcast_to([0.0, math.pi], azimuths.shape[:-1] + (2,))
+    taus = np.sort(np.concatenate([ends, azimuths % math.pi], axis=-1), axis=-1)[..., None, :]
+    x, y, z = x[..., None], y[..., None], z[..., None]  # (..., 2, 1) against taus (..., 1, 5)
+    q = x * np.cos(taus) + y * np.sin(taus)
+    w = x * np.sin(taus) - y * np.cos(taus)
+    pole = np.where(z >= 0.0, 1.0, -1.0)
+    primitive = pole * np.arctan2(w, np.hypot(z, q))  # T at each breakpoint, (..., 2, 5)
+    drift = np.abs(np.diff(primitive[..., 0, :] - primitive[..., 1, :], axis=-1)).sum(axis=-1)
+    return pole[..., 0, 0] * pole[..., 1, 0] * (math.pi - drift)
 
 
 def tau_average_correlation(a, b) -> float:
-    """(1/pi) * int_0^pi E_tau(a, b) dtau by the graded rule ``_tau_rule``.
+    """(1/pi) * int_0^pi E_tau(a, b) dtau, exact (``_tau_integral``).
 
     tau is uniform on [0, pi) with density 1/pi (the |sin mu| factor of the
     chart carries the whole surface weight); the average must reproduce the
     quantum value -a.b.
     """
     pair = rotated_settings(a, b)
-    vectors = [pair.a_hat, pair.b_hat]
-    taus, weights = _tau_rule(vectors)
-    return -float(_arc_average(vectors, taus) @ weights) / math.pi
+    return -float(_tau_integral([pair.a_hat, pair.b_hat])) / math.pi
 
 
 def tau_average_chsh(alpha: float) -> float:
-    """(1/pi) * int_0^pi F_tau(alpha) dtau by the graded rule ``_tau_rule``."""
-    pairs = _rotated_family(alpha)
-    taus, weights = _tau_rule(pairs)
-    return float(_family_chsh(pairs, taus)[1] @ weights) / math.pi
+    """(1/pi) * int_0^pi F_tau(alpha) dtau, exact (``_tau_integral``); must
+    reproduce the quantum value -3 cos(2 alpha) + cos(6 alpha)."""
+    return float(chsh_sum(-_tau_integral(_rotated_family(alpha)))) / math.pi
 
 
 #: Cells per ``_arc_average`` call in ``region_scan``: whole alpha rows are

@@ -68,6 +68,9 @@ _PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 # extend the support frame.
 _FRAME_CUTOFF = 1e-6
 
+# Tolerance of ``kernel_split`` on hermiticity and on the eigenvalues -1, 0, +1.
+_SPECTRUM_ATOL = 1e-8
+
 
 def _check_dim(n: int) -> int:
     if not 2 <= n <= MAX_DIM:
@@ -315,7 +318,7 @@ def _first_long_column(matrix: np.ndarray, start) -> tuple[np.ndarray, np.ndarra
     return column / np.take_along_axis(norms, k[..., None], axis=-1), k
 
 
-def kernel_split(matrix: np.ndarray, atol: float = 1e-8) -> KernelSplit:
+def kernel_split(matrix: np.ndarray) -> KernelSplit:
     """Split the space into the kernel and the 2-dimensional support of A.
 
     A (or each matrix of a stack) must have spectrum {-1, 0, +1} with
@@ -325,13 +328,13 @@ def kernel_split(matrix: np.ndarray, atol: float = 1e-8) -> KernelSplit:
     generic traceless Hermitian 2x2 and its Pauli vector has unit length
     precisely because the eigenvalues are +-1.
     """
-    arr = _check_hermitian(matrix, atol=atol)
+    arr = _check_hermitian(matrix, atol=_SPECTRUM_ATOL)
     n = arr.shape[-1]
     eigenvalues, vectors = np.linalg.eigh(arr)
     wrong = (
-        (np.count_nonzero(np.abs(eigenvalues - 1.0) <= atol, axis=-1) != 1)
-        | (np.count_nonzero(np.abs(eigenvalues + 1.0) <= atol, axis=-1) != 1)
-        | (np.count_nonzero(np.abs(eigenvalues) <= atol, axis=-1) != n - 2)
+        (np.count_nonzero(np.abs(eigenvalues - 1.0) <= _SPECTRUM_ATOL, axis=-1) != 1)
+        | (np.count_nonzero(np.abs(eigenvalues + 1.0) <= _SPECTRUM_ATOL, axis=-1) != 1)
+        | (np.count_nonzero(np.abs(eigenvalues) <= _SPECTRUM_ATOL, axis=-1) != n - 2)
     )
     if np.any(wrong):
         raise ValueError(

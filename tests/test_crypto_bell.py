@@ -4,6 +4,7 @@ closed forms, tau averages and the region scan."""
 import csv
 import math
 from dataclasses import astuple
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -11,8 +12,6 @@ import pytest
 from nonlocality_lab import crypto_bell
 from nonlocality_lab.correlations import classify_chsh
 from nonlocality_lab.crypto_bell import (
-    TAU_LEVELS,
-    TAU_ORDER,
     _SCAN_BLOCK_CELLS,
     ConditionalChsh,
     RegionScan,
@@ -20,7 +19,7 @@ from nonlocality_lab.crypto_bell import (
     _arc_average,
     _family_chsh,
     _rotated_family,
-    _tau_rule,
+    _tau_integral,
     abs_sin_integral,
     chi_functions,
     closed_form_chsh,
@@ -139,6 +138,38 @@ def generic_arc_average(vectors, taus) -> np.ndarray:
     signs = np.where((projections >= 0.0) | vanish[..., None, :], 1.0, -1.0).prod(axis=-1)
     arcs = np.where(hi - lo < 1e-15, 0.0, signs * abs_sin_integral(lo, hi))
     return arcs.sum(axis=-1) / 4.0
+
+
+#: The oracle tau rule: cells that halve TAU_LEVELS times toward both ends of
+#: each interval between breakpoints, with TAU_ORDER Gauss-Legendre nodes per cell.
+TAU_LEVELS = 26
+TAU_ORDER = 12
+GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(TAU_ORDER)
+
+
+def oracle_tau_rule(vectors) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for ``_tau_integral``: nodes and weights of a graded composite
+    Gauss-Legendre rule for int_0^pi g(tau) dtau, g the ``_arc_average`` of
+    the vector stack ``vectors`` (..., k, 3).
+
+    g is smooth between the breakpoints 0, pi, tau_v = azimuth(v) + pi/2 for
+    each v, and azimuth(u x v) for each pair u, v of a set, where their roots
+    cross (all mod pi).  Near tau_v the root of v swings by pi within a layer
+    |tau - tau_v| ~ |v_z| / |v_xy| of any width, hence the geometric mesh
+    (Davis & Rabinowitz 1984; Schwab 1998).
+    """
+    v = np.asarray(vectors, dtype=float)
+    i, j = np.triu_indices(v.shape[-2], 1)
+    crosses = np.cross(v[..., i, :], v[..., j, :])
+    orthogonal = np.arctan2(v[..., 1], v[..., 0]).ravel() + PI / 2.0
+    crossing = np.arctan2(crosses[..., 1], crosses[..., 0]).ravel()
+    breaks = np.unique(np.concatenate([[0.0, PI], orthogonal % PI, crossing % PI]))
+    half = np.concatenate([[0.0], 0.5 ** np.arange(TAU_LEVELS, 0, -1)])  # 0, 2**-L, ..., 1/2
+    unit = np.concatenate([half, 1.0 - half[-2::-1]])  # cell edges on [0, 1]
+    edges = breaks[:-1, None] + np.diff(breaks)[:, None] * unit  # (intervals, cells + 1)
+    lo, width = edges[:, :-1, None], np.diff(edges)[..., None]
+    nodes = lo + width * (GAUSS_NODES + 1.0) / 2.0
+    return nodes.ravel(), (width * GAUSS_WEIGHTS / 2.0).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -710,6 +741,88 @@ class TestClosedForms:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
+def chsh_sweep_gaps():
+    """|tau_average_chsh - quantum| on 2 106 alphas.  Around pi/6 a' and b'
+    turn horizontal, so the layer at tau = pi/2 narrows to zero width; the
+    two spikes are alphas that trip an adaptive rule there."""
+    alphas = [
+        *np.linspace(0.5180, 0.5295, 2001),
+        0.4755896,
+        0.5622192,
+        PI / 6,
+        critical_alpha(),
+        *np.linspace(0.0, PI / 4, 101),
+    ]
+    gaps = [
+        abs(tau_average_chsh(a) - (-3.0 * math.cos(2 * a) + math.cos(6 * a)))
+        for a in alphas
+    ]
+    return alphas, gaps
+
+
+def tau_integral_pairs(size=60, seed=23):
+    """Named (size, 2, 3) unit pair stacks for ``_tau_integral``: those of
+    ``oracle_pairs``, plus exactly horizontal settings (v_z = 0) and +-z."""
+    rng = np.random.default_rng(seed)
+    pairs = oracle_pairs(size, seed)
+    u = unit_rows(rng.normal(size=(size, 3)))
+    flat = unit_rows(rng.normal(size=(2, size, 3)) * [1.0, 1.0, 0.0])
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]).repeat(size // 2, axis=0)
+    pairs.update(
+        {
+            "horizontal first": np.stack([flat[0], u], axis=1),
+            "horizontal both": np.stack([flat[0], flat[1]], axis=1),
+            "equal horizontal": np.stack([flat[0], flat[0]], axis=1),
+            "antiparallel horizontal": np.stack([flat[0], -flat[0]], axis=1),
+            "pole first": np.stack([poles, u], axis=1),
+            "pole second": np.stack([u, poles], axis=1),
+            "pole and horizontal": np.stack([poles, flat[0]], axis=1),
+            "poles": np.stack([poles, poles[::-1]], axis=1),
+        }
+    )
+    return pairs
+
+
+class TestTauIntegral:
+    # the exact antiderivative against the graded rule ``oracle_tau_rule``
+
+    @pytest.mark.parametrize("case", list(tau_integral_pairs()))
+    def test_matches_graded_rule(self, case):
+        pairs = tau_integral_pairs()[case]
+        want = []
+        for pair in pairs:
+            taus, weights = oracle_tau_rule(pair)
+            want.append(_arc_average(pair, taus) @ weights)
+        np.testing.assert_allclose(_tau_integral(pairs), want, rtol=0.0, atol=1e-9)
+
+    def test_shapes(self):
+        pairs = tau_integral_pairs()["generic"]
+        assert _tau_integral(pairs[0]).shape == ()
+        assert _tau_integral(pairs).shape == (len(pairs),)
+        grid = pairs.reshape(6, 10, 2, 3)
+        got = _tau_integral(grid)
+        assert got.shape == (6, 10)
+        singles = [[float(_tau_integral(pair)) for pair in row] for row in grid]
+        np.testing.assert_allclose(got, singles, rtol=0.0, atol=1e-14)
+
+    def test_family_stack(self):
+        alphas = np.linspace(0.0, PI / 4, 7)
+        got = _tau_integral(_rotated_family(alphas))
+        assert got.shape == (7, 4)
+        for alpha, row in zip(alphas, got):
+            np.testing.assert_allclose(
+                row, _tau_integral(_rotated_family(alpha)), rtol=0.0, atol=1e-14
+            )
+
+    def test_equal_and_antiparallel_are_plus_minus_pi(self):
+        pairs = tau_integral_pairs()
+        for case in ("equal", "equal near-horizontal", "equal horizontal"):
+            np.testing.assert_allclose(_tau_integral(pairs[case]), PI, rtol=0.0, atol=1e-14)
+        for case in ("antiparallel", "antiparallel near-horizontal", "antiparallel horizontal"):
+            np.testing.assert_allclose(_tau_integral(pairs[case]), -PI, rtol=0.0, atol=1e-14)
+
+
 class TestTauAverages:
     def test_chsh_at_zero(self):
         assert tau_average_chsh(0.0) == pytest.approx(-2.0, abs=1e-9)
@@ -735,23 +848,15 @@ class TestTauAverages:
             assert average == pytest.approx(singlet_reference(a, b), abs=1e-6)
 
     def test_chsh_sweep_matches_quantum(self):
-        # around pi/6 a' and b' turn horizontal, so the layer at tau = pi/2
-        # narrows to zero width; the two spikes are alphas that trip an
-        # adaptive rule there
-        alphas = [
-            *np.linspace(0.5180, 0.5295, 2001),
-            0.4755896,
-            0.5622192,
-            PI / 6,
-            critical_alpha(),
-            *np.linspace(0.0, PI / 4, 101),
-        ]
-        gaps = [
-            abs(tau_average_chsh(a) - (-3.0 * math.cos(2 * a) + math.cos(6 * a)))
-            for a in alphas
-        ]
+        alphas, gaps = chsh_sweep_gaps()
         worst = int(np.argmax(gaps))
         assert gaps[worst] <= 1e-9, f"alpha = {alphas[worst]!r}"
+
+    def test_chsh_sweep_is_exact(self):
+        # a graded quadrature reached 3.9e-11 on this sweep
+        alphas, gaps = chsh_sweep_gaps()
+        worst = int(np.argmax(gaps))
+        assert gaps[worst] <= 1e-13, f"alpha = {alphas[worst]!r}"
 
     def test_pair_average_near_horizontal(self):
         # a setting with |v_z| << |v_xy| puts a layer of width ~|v_z| at tau_v
@@ -772,6 +877,24 @@ class TestTauAverages:
                 worst = max(worst, abs(tau_average_correlation(a, b) - singlet_reference(a, b)))
         assert worst <= 1e-9
 
+    def test_pair_average_near_horizontal_is_exact(self):
+        # |v_z| from 1e-16 to 1e-1, and 0; a graded quadrature reached 2.8e-11
+        rng = np.random.default_rng(16)
+
+        def flat(z):
+            phi = rng.uniform(0.0, TWO_PI)
+            return unit_rows(np.array([math.cos(phi), math.sin(phi), z * rng.choice([-1.0, 1.0])]))
+
+        worst = 0.0
+        for z in (0.0, *np.logspace(-16, -1, 16)):
+            for a, b in (
+                (flat(z), flat(z)),
+                (flat(z), random_unit(rng)),
+                (random_unit(rng), flat(z)),
+            ):
+                worst = max(worst, abs(tau_average_correlation(a, b) - singlet_reference(a, b)))
+        assert worst <= 1e-13
+
     @pytest.mark.parametrize("gamma", [0.3, 1.0, 2.0, 3.0, PI - 1e-3, PI - 1e-6])
     def test_coplanar_oracle(self, gamma):
         # int_0^pi |cos t| / sqrt(cos^2 t + cot^2(gamma/2)) dt = gamma, so the
@@ -780,7 +903,7 @@ class TestTauAverages:
         want = 2.0 * gamma / PI - 1.0
         half = gamma / 2.0
         rotated = [[math.sin(half), 0.0, math.cos(half)], [-math.sin(half), 0.0, math.cos(half)]]
-        taus, weights = _tau_rule(rotated)
+        taus, weights = oracle_tau_rule(rotated)
         cot = math.cos(half) / math.sin(half)
         chi = np.cos(taus) / np.sqrt(np.cos(taus) ** 2 + cot**2)
         assert float((2.0 * np.abs(chi) - 1.0) @ weights) / PI == pytest.approx(want, abs=1e-9)
@@ -794,7 +917,7 @@ class TestTauAverages:
             assert tau_average_correlation(a, b) == pytest.approx(want, abs=1e-9)
 
     def test_rule_weights_cover_zero_to_pi(self):
-        taus, weights = _tau_rule(_rotated_family(0.3))
+        taus, weights = oracle_tau_rule(_rotated_family(0.3))
         assert len(taus) == 2 * 2 * TAU_LEVELS * TAU_ORDER
         assert np.all((taus > 0.0) & (taus < PI)) and np.all(weights > 0.0)
         assert weights.sum() == pytest.approx(PI, abs=1e-14)
