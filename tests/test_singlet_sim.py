@@ -102,12 +102,15 @@ class TestSgn:
 
 
 class TestSphereSampler:
-    def test_determinism_and_shape(self):
+    def test_determinism_and_counter(self):
         s1, s2 = sampler(123), sampler(123)
         a = s1.sample(100)
         b = s2.sample(100)
         np.testing.assert_array_equal(a, b)
-        assert s1.sample(5).shape == (5, 3)
+        # the stream itself counts the draws: the next points are 100..104
+        nxt = s1.sample(5)
+        assert nxt.shape == (5, 3)
+        np.testing.assert_array_equal(nxt, sampler(123).sample(105)[100:])
 
     def test_pieces_equal_one_draw(self):
         whole = sampler(8).sample(1001)
