@@ -70,11 +70,17 @@ class NonlocalityClass(enum.Enum):
         return self.value
 
 
+def _check_bit(name: str, value: int) -> int:
+    """``value`` if it is an integer or bool equal to 0 or 1; floats such as
+    1.0 and strings are rejected, not coerced."""
+    if not isinstance(value, (int, np.integer, np.bool_)) or value not in BITS:
+        raise ValueError(f"{name} must be 0 or 1, got {value!r}")
+    return value
+
+
 def sign_of_bit(bit: int) -> int:
     """Map an outcome bit to its sign: 0 -> +1, 1 -> -1."""
-    if bit not in BITS:
-        raise ValueError(f"outcome bit must be 0 or 1, got {bit!r}")
-    return 1 - 2 * bit
+    return 1 - 2 * _check_bit("outcome bit", bit)
 
 
 class BoxTable:

@@ -3,17 +3,20 @@
 The model describes a qubit pair in the singlet state with a hidden unit
 vector lam.  lam is uniform on the sphere and carries a two-level polar
 chart (mu, tau) with mu in [0, 2*pi) and tau in [0, pi): tau selects a great
-circle through the poles, mu runs around it, and the surface element is
-|sin mu| dmu dtau.  Outcomes are
+circle through the poles, mu runs around it,
+
+    lam(mu, tau) = (sin mu cos tau, sin mu sin tau, cos mu),
+
+and the surface element is |sin mu| dmu dtau.  Outcomes are
 
     A = sgn(a_hat . lam),      B = -sgn(b_hat . lam),
 
-where a_hat, b_hat are the measurement directions a, b rotated in their
-common plane, symmetrically about the bisector, so that their angle becomes
-omega_hat = pi * sin^2(omega / 2).  Averaged over the full sphere this
-reproduces the singlet correlation -a.b; averaged over mu alone (at fixed
-tau) the single-party outcomes vanish identically, which is the
-crypto-nonlocality property, while the pair correlation
+with sgn(0) = +1, where a_hat, b_hat are the measurement directions a, b
+rotated in their common plane, symmetrically about the bisector, so that
+their angle becomes omega_hat = pi * sin^2(omega / 2).  Averaged over the
+full sphere this reproduces the singlet correlation -a.b; averaged over mu
+alone (at fixed tau) the single-party outcomes vanish identically, which is
+the crypto-nonlocality property, while the pair correlation
 
     E_tau(a, b) = (1/4) * int_0^{2pi} A B |sin mu| dmu
 
@@ -54,16 +57,11 @@ import numpy as np
 
 from ._rng import substream
 from .correlations import NonlocalityClass, chsh_class_codes, chsh_sum, classify_chsh
-from .singlet_sim import SphereSampler, _chunked_estimate, as_unit_vector, sgn
+from .singlet_sim import SphereSampler, _chunked_estimate, as_unit_vector
 
 __all__ = [
-    "polar_from_standard",
-    "standard_from_polar",
-    "great_circle_point",
-    "abs_sin_integral",
     "RotatedPair",
     "rotated_settings",
-    "model_outcomes",
     "conditional_correlation",
     "crypto_local_average",
     "mc_joint_correlation",
@@ -85,60 +83,6 @@ __all__ = [
     "region_scan",
     "scan_to_csv",
 ]
-
-TWO_PI = 2.0 * math.pi
-
-# ---------------------------------------------------------------------------
-# The (mu, tau) chart
-# ---------------------------------------------------------------------------
-
-
-def polar_from_standard(theta: float, phi: float) -> tuple[float, float]:
-    """Map standard polar angles (theta, phi) to the chart (mu, tau).
-
-    theta in [0, pi] is the angle from +z, phi in [0, 2*pi) the azimuth.
-    Points with y >= 0 map identically; y < 0 maps to (2*pi - theta,
-    phi - pi).  The seam phi = pi is assigned to the second branch so tau
-    stays inside [0, pi) (a measure-zero convention).
-    """
-    if not 0.0 <= theta <= math.pi or not 0.0 <= phi < TWO_PI:
-        raise ValueError(f"angles out of range: theta={theta}, phi={phi}")
-    if phi < math.pi:
-        return theta, phi
-    return TWO_PI - theta, phi - math.pi
-
-
-def standard_from_polar(mu: float, tau: float) -> tuple[float, float]:
-    """Inverse chart; recovers (theta, phi) up to the measure-zero seam."""
-    if not 0.0 <= mu < TWO_PI or not 0.0 <= tau < math.pi:
-        raise ValueError(f"angles out of range: mu={mu}, tau={tau}")
-    if mu <= math.pi:
-        return mu, tau
-    return TWO_PI - mu, tau + math.pi
-
-
-def great_circle_point(mu: float, tau: float) -> np.ndarray:
-    """Cartesian point of the chart; at fixed tau, mu traces a great circle
-    through the poles: (sin mu cos tau, sin mu sin tau, cos mu)."""
-    return np.array(
-        [
-            math.sin(mu) * math.cos(tau),
-            math.sin(mu) * math.sin(tau),
-            math.cos(mu),
-        ]
-    )
-
-
-def abs_sin_integral(lo, hi):
-    """Exact integral of |sin t| over [lo, hi], 0 <= lo <= hi; elementwise
-    on arrays."""
-
-    def antiderivative(t):
-        k = np.floor(t / math.pi)
-        return 2.0 * k + 1.0 - np.cos(t - k * math.pi)
-
-    return antiderivative(hi) - antiderivative(lo)
-
 
 # ---------------------------------------------------------------------------
 # Rotated settings
@@ -186,15 +130,14 @@ def rotated_settings(a, b) -> RotatedPair:
     return RotatedPair(a_hat, b_hat, omega, omega_hat)
 
 
-def model_outcomes(a, b, mu: float, tau: float) -> tuple[int, int]:
-    """Possessed outcome signs (A, B) at hidden variable (mu, tau).
-
-    B is evaluated on b_hat, which depends on a as well — the model is
-    manifestly nonlocal at this level.
+def _outcome_bits(a_hat, b_hat, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome bits (A, B), as boolean arrays, of the rotated pair (a_hat,
+    b_hat) at the hidden vectors of the (n, 3) stack ``lam``: A = sgn(a_hat .
+    lam) and B = -sgn(b_hat . lam), bit 1 for sign -1, so the product is -1
+    where A != B.  B depends on a through b_hat: the model is manifestly
+    nonlocal at this level.
     """
-    pair = rotated_settings(a, b)
-    lam = great_circle_point(mu, tau)
-    return sgn(float(pair.a_hat @ lam)), -sgn(float(pair.b_hat @ lam))
+    return lam @ a_hat < 0.0, lam @ b_hat >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +205,8 @@ def mc_joint_correlation(a, b, n: int, seed: int) -> tuple[float, float]:
     lam = SphereSampler(substream(seed, "crypto-mc-lam"))
 
     def disagree(m: int) -> np.ndarray:
-        points = lam.sample(m)
-        return (points @ pair.a_hat >= 0.0) == (points @ pair.b_hat >= 0.0)
+        A, B = _outcome_bits(pair.a_hat, pair.b_hat, lam.sample(m))
+        return A != B
 
     estimate = _chunked_estimate(n, disagree)
     return estimate.e_hat, estimate.stderr

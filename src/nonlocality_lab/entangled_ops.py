@@ -38,7 +38,6 @@ __all__ = [
     "SchmidtState",
     "make_schmidt_state",
     "transpose_partner",
-    "operator_basis",
     "observable_from_coords",
     "coords_from_observable",
     "joint_expectation",
@@ -146,7 +145,17 @@ def transpose_partner(matrix: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=MAX_DIM)
 def _basis_stacks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (N^2, N, N) stacks of the F basis and its partners G."""
+    """State-adapted orthonormal bases (F, G) of Hermitian operator space, as
+    read-only (N^2, N, N) stacks, cached per N.
+
+    F holds sqrt(N) |v_i><v_i| for each i plus sqrt(N/2) symmetric and
+    antisymmetric combinations of |v_i><v_j| for i < j (the antisymmetric
+    one carries a factor i to stay Hermitian).  G pairs each F entry with
+    its transpose partner.  Orthonormality means
+    <psi| F_r (x) G_s |psi> = delta_rs, which makes joint expectations of
+    coordinate vectors Euclidean dot products.  For N = 2 this is not the
+    Pauli expansion: the diagonal members are projectors, not I and sigma_z.
+    """
     f = np.zeros((n * n, n, n), dtype=complex)
     diag = np.arange(n)
     f[diag, diag, diag] = math.sqrt(n)
@@ -165,23 +174,6 @@ def _combine(coords: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """sum_r coords_r stack_r for (..., N^2) coordinates and an (N^2, N, N) stack."""
     n = stack.shape[1]
     return (coords @ stack.reshape(n * n, n * n)).reshape(*coords.shape[:-1], n, n)
-
-
-def operator_basis(n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """State-adapted orthonormal bases (F, G) of Hermitian operator space.
-
-    F holds sqrt(N) |v_i><v_i| for each i plus sqrt(N/2) symmetric and
-    antisymmetric combinations of |v_i><v_j| for i < j (the antisymmetric
-    one carries a factor i to stay Hermitian).  G pairs each F entry with
-    its transpose partner.  Orthonormality means
-    <psi| F_r (x) G_s |psi> = delta_rs, which makes joint expectations of
-    coordinate vectors Euclidean dot products.  For N = 2 this is not the
-    Pauli expansion: the diagonal members are projectors, not I and sigma_z.
-
-    The returned arrays are read-only views into one cached stack per N.
-    """
-    basis, partners = _basis_stacks(_check_dim(n))
-    return list(basis), list(partners)
 
 
 def observable_from_coords(coords: np.ndarray) -> np.ndarray:

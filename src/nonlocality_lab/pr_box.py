@@ -21,6 +21,7 @@ from .correlations import (
     BoxTable,
     ChshReport,
     CorrelationSet,
+    _check_bit,
     chsh_value,
     correlation_from_table,
 )
@@ -37,12 +38,6 @@ __all__ = [
 def pr_relation_holds(x: int, y: int, a: int, b: int) -> bool:
     """The defining constraint a + b = x*y (mod 2)."""
     return (a + b) % 2 == (x * y) % 2
-
-
-def _check_bit(name: str, value: int) -> int:
-    if value not in BITS:
-        raise ValueError(f"{name} must be 0 or 1, got {value!r}")
-    return value
 
 
 def _hidden_outputs(x, y, lam):
@@ -74,14 +69,20 @@ def pr_ideal_table() -> BoxTable:
 def pr_table_from_hidden(prior: tuple[float, float] = (0.5, 0.5)) -> BoxTable:
     """Box table obtained by averaging the deterministic model over lam.
 
-    ``prior`` is (P(lam=0), P(lam=1)); with the fair prior this reproduces
-    ``pr_ideal_table`` exactly.  Degenerate priors give deterministic tables
-    that still satisfy the PR constraint but leak the remote input into the
-    marginals (parameter independence fails).
+    ``prior`` is exactly two weights (P(lam=0), P(lam=1)); with the fair
+    prior this reproduces ``pr_ideal_table`` exactly.  Degenerate priors give
+    deterministic tables that still satisfy the PR constraint but leak the
+    remote input into the marginals (parameter independence fails).
     """
-    p0, p1 = float(prior[0]), float(prior[1])
-    if p0 < 0.0 or p1 < 0.0 or abs(p0 + p1 - 1.0) > ATOL:
-        raise ValueError(f"prior must be non-negative and sum to 1, got {prior!r}")
+    try:
+        p0, p1 = (float(weight) for weight in prior)
+        valid = p0 >= 0.0 and p1 >= 0.0 and abs(p0 + p1 - 1.0) <= ATOL  # False for NaN
+    except (TypeError, ValueError):  # not two numbers
+        valid = False
+    if not valid:
+        raise ValueError(
+            f"prior must be two finite non-negative weights summing to 1, got {prior!r}"
+        )
     probs = np.zeros((2, 2, 2, 2))
     for x in BITS:
         for y in BITS:

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import substream
-from .pr_box import _check_bit, _hidden_outputs
+from .correlations import _check_bit
+from .pr_box import _hidden_outputs
 
 __all__ = [
-    "sgn",
     "as_unit_vector",
     "SphereSampler",
     "singlet_round",
@@ -44,11 +44,6 @@ __all__ = [
 #: array under glibc's 128 KiB mmap threshold, so chunks reuse heap memory
 #: instead of faulting in fresh pages, whatever the process imported first.
 CHUNK_ROUNDS = 1 << 12
-
-
-def sgn(r: float) -> int:
-    """Sign with range {-1, +1}; sgn(0) = +1 by convention."""
-    return 1 if r >= 0.0 else -1
 
 
 def as_unit_vector(v) -> np.ndarray:

@@ -1,0 +1,106 @@
+"""Guards on the package surface: each module's ``__all__`` is the one list of
+its public names, and no module keeps an unused import or internal name."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import nonlocality_lab
+from nonlocality_lab import correlations, crypto_bell, entangled_ops, pr_box, singlet_sim
+
+MODULES = (correlations, crypto_bell, entangled_ops, pr_box, singlet_sim)
+SOURCES = sorted(
+    path
+    for path in Path(nonlocality_lab.__file__).parent.glob("*.py")
+    if path.name != "__init__.py"
+)
+
+#: Test-only helpers that left the package; each now lives in the tests.
+DELETED = (
+    "polar_from_standard",
+    "standard_from_polar",
+    "great_circle_point",
+    "abs_sin_integral",
+    "model_outcomes",
+    "sgn",
+    "operator_basis",
+)
+
+
+class TestPublicNames:
+    def test_package_all_is_the_module_lists(self):
+        expected = [name for module in MODULES for name in module.__all__]
+        assert nonlocality_lab.__all__ == expected
+        assert len(set(expected)) == len(expected)
+
+    def test_every_public_name_resolves(self):
+        for module in MODULES:
+            for name in module.__all__:
+                assert getattr(nonlocality_lab, name) is getattr(module, name)
+
+    @pytest.mark.parametrize("name", DELETED)
+    def test_deleted_helpers_are_gone(self, name):
+        for owner in (nonlocality_lab, *MODULES):
+            assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+
+
+def _unused_names(path: Path) -> list[str]:
+    """Module-level imports the module never uses, and module-level names
+    outside ``__all__`` (private ones included) that nothing in it reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    public = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            public = set(ast.literal_eval(node.value))
+    unused = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read and bound not in public:
+                    unused.append(f"import {bound}")
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined = [node.name]
+        elif isinstance(node, ast.Assign):
+            defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            defined = [node.target.id]
+        else:
+            continue
+        for name in defined:
+            internal = name not in public and not name.startswith("__")
+            if internal and name not in read:
+                unused.append(name)
+    return unused
+
+
+class TestNoDeadCode:
+    def test_sources_found(self):
+        assert {path.stem for path in SOURCES} >= {m.__name__.split(".")[-1] for m in MODULES}
+
+    @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+    def test_no_unused_import_or_internal_name(self, path):
+        assert _unused_names(path) == []
+
+    def test_guard_catches_leftovers(self, tmp_path):
+        source = tmp_path / "leftover.py"
+        source.write_text(
+            "import math\n"
+            "from .singlet_sim import as_unit_vector, sgn\n"
+            "__all__ = ['f']\n"
+            "TWO_PI = 2.0 * math.pi\n"
+            "def _helper():\n    pass\n"
+            "def f(v):\n    return as_unit_vector(v)\n"
+        )
+        assert _unused_names(source) == ["import sgn", "TWO_PI", "_helper"]

@@ -26,7 +26,8 @@ from nonlocality_lab.correlations import (
     locality_check,
     sign_of_bit,
 )
-from nonlocality_lab.pr_box import pr_ideal_table, pr_table_from_hidden
+from nonlocality_lab.pr_box import pr_hidden_outputs, pr_ideal_table, pr_table_from_hidden
+from nonlocality_lab.singlet_sim import singlet_round
 
 BITS = (0, 1)
 JSON_KEYS = ["0,0", "0,1", "1,0", "1,1"]
@@ -217,6 +218,32 @@ class TestBoxTable:
 
 
 # ---------------------------------------------------------------------------
+# Bit validation, shared by every scalar entry point that takes a bit
+# ---------------------------------------------------------------------------
+
+Z = np.array([0.0, 0.0, 1.0])
+BIT_ENTRY_POINTS = {
+    "sign_of_bit": sign_of_bit,
+    "pr_hidden_outputs-x": lambda bit: pr_hidden_outputs(bit, 0, 0),
+    "pr_hidden_outputs-lam": lambda bit: pr_hidden_outputs(0, 0, bit),
+    "singlet_round": lambda bit: singlet_round(Z, Z, Z, Z, bit),
+}
+
+
+class TestBitCheck:
+    @pytest.mark.parametrize("entry", BIT_ENTRY_POINTS.values(), ids=BIT_ENTRY_POINTS.keys())
+    @pytest.mark.parametrize("value", [1.0, np.float64(1.0), 2, -1, "1", None], ids=repr)
+    def test_rejects_anything_but_integer_bits(self, entry, value):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            entry(value)
+
+    @pytest.mark.parametrize("entry", BIT_ENTRY_POINTS.values(), ids=BIT_ENTRY_POINTS.keys())
+    @pytest.mark.parametrize("value", [True, np.int64(0), np.bool_(True)], ids=repr)
+    def test_accepts_integer_and_bool_bits(self, entry, value):
+        entry(value)
+
+
+# ---------------------------------------------------------------------------
 # Correlations and CHSH
 # ---------------------------------------------------------------------------
 
@@ -227,6 +254,10 @@ class TestCorrelation:
         assert sign_of_bit(1) == -1
         with pytest.raises(ValueError):
             sign_of_bit(2)
+
+    @pytest.mark.parametrize("bit, sign", [(True, -1), (False, 1), (np.int64(1), -1)])
+    def test_sign_of_integer_bits(self, bit, sign):
+        assert sign_of_bit(bit) == sign
 
     def test_pr_table_correlations(self):
         table = pr_ideal_table()

@@ -1,5 +1,5 @@
-"""Tests for the crypto-nonlocal model: chart, rotations, exact arcs,
-closed forms, tau averages and the region scan."""
+"""Tests for the crypto-nonlocal model: chart weight, rotations, outcomes,
+exact arcs, closed forms, tau averages and the region scan."""
 
 import csv
 import math
@@ -8,6 +8,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from nonlocality_lab import crypto_bell
 from nonlocality_lab.correlations import classify_chsh
@@ -18,9 +20,9 @@ from nonlocality_lab.crypto_bell import (
     RotatedPair,
     _arc_average,
     _family_chsh,
+    _outcome_bits,
     _rotated_family,
     _tau_integral,
-    abs_sin_integral,
     chi_functions,
     closed_form_chsh,
     closed_form_correlations,
@@ -30,16 +32,12 @@ from nonlocality_lab.crypto_bell import (
     crypto_local_average,
     four_directions,
     gamma_functions,
-    great_circle_point,
     mc_joint_correlation,
-    model_outcomes,
-    polar_from_standard,
     quantum_chsh_reference,
     region_scan,
     rotated_settings,
     scan_to_csv,
     singlet_reference,
-    standard_from_polar,
     tau_average_chsh,
     tau_average_correlation,
 )
@@ -92,6 +90,34 @@ def mixed_pair_stack(rng, n=400):
     return a, b, (kind == 1) | (kind == 2)
 
 
+def great_circle_point(mu: float, tau: float) -> np.ndarray:
+    """Cartesian point of the chart; at fixed tau, mu traces a great circle
+    through the poles: (sin mu cos tau, sin mu sin tau, cos mu)."""
+    return np.array(
+        [
+            math.sin(mu) * math.cos(tau),
+            math.sin(mu) * math.sin(tau),
+            math.cos(mu),
+        ]
+    )
+
+
+def model_outcomes(a, b, mu: float, tau: float) -> tuple[int, int]:
+    """Oracle for ``_outcome_bits``: the possessed outcome signs (A, B) at
+    hidden variable (mu, tau), one point in scalar sign arithmetic.
+
+    B is evaluated on b_hat, which depends on a as well — the model is
+    manifestly nonlocal at this level.
+    """
+
+    def sgn(r: float) -> int:  # sgn(0) = +1 by convention
+        return 1 if r >= 0.0 else -1
+
+    pair = rotated_settings(a, b)
+    lam = great_circle_point(mu, tau)
+    return sgn(float(pair.a_hat @ lam)), -sgn(float(pair.b_hat @ lam))
+
+
 def riemann_correlation(a, b, tau, nodes=100_000):
     """Independent dense midpoint sum of the conditional correlation."""
     pair = rotated_settings(a, b)
@@ -103,6 +129,17 @@ def riemann_correlation(a, b, tau, nodes=100_000):
     b_signs = np.where(lam @ pair.b_hat >= 0.0, -1.0, 1.0)
     weights = np.abs(np.sin(mu)) * (2.0 * PI / nodes)
     return float((a_signs * b_signs * weights).sum() / 4.0)
+
+
+def abs_sin_integral(lo, hi):
+    """Exact integral of |sin t| over [lo, hi], 0 <= lo <= hi; elementwise
+    on arrays."""
+
+    def antiderivative(t):
+        k = np.floor(t / math.pi)
+        return 2.0 * k + 1.0 - np.cos(t - k * math.pi)
+
+    return antiderivative(hi) - antiderivative(lo)
 
 
 def generic_arc_average(vectors, taus) -> np.ndarray:
@@ -178,50 +215,6 @@ def oracle_tau_rule(vectors) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TestPolarChart:
-    def test_upper_branch_identity(self):
-        assert polar_from_standard(PI / 3, PI / 4) == (PI / 3, PI / 4)
-
-    def test_lower_branch(self):
-        mu, tau = polar_from_standard(PI / 3, 5 * PI / 4)
-        assert mu == pytest.approx(2 * PI - PI / 3)
-        assert tau == pytest.approx(PI / 4)
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            theta = rng.uniform(0.0, PI)
-            phi = rng.uniform(0.0, 2.0 * PI)
-            if abs(phi - PI) < 1e-9:  # chart seam
-                continue
-            mu, tau = polar_from_standard(theta, phi)
-            assert 0.0 <= mu < 2.0 * PI
-            assert 0.0 <= tau < PI
-            back = standard_from_polar(mu, tau)
-            assert back[0] == pytest.approx(theta, abs=1e-12)
-            assert back[1] == pytest.approx(phi, abs=1e-12)
-
-    def test_great_circle_matches_chart(self):
-        # lam(mu, tau) must be the Cartesian point of the inverse chart
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            mu = rng.uniform(0.0, 2.0 * PI)
-            tau = rng.uniform(0.0, PI)
-            theta, phi = standard_from_polar(mu, tau)
-            expected = np.array(
-                [
-                    math.sin(theta) * math.cos(phi),
-                    math.sin(theta) * math.sin(phi),
-                    math.cos(theta),
-                ]
-            )
-            np.testing.assert_allclose(great_circle_point(mu, tau), expected, atol=1e-12)
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            polar_from_standard(-0.1, 0.0)
-        with pytest.raises(ValueError):
-            standard_from_polar(0.0, PI)
-
     def test_weight_normalization(self):
         # the |sin mu| weight integrates to 4 over one revolution (exactly),
         # so the chart covers the full sphere area 4*pi with d(tau) = pi
@@ -360,23 +353,70 @@ class TestStackedRotation:
 # ---------------------------------------------------------------------------
 
 
+@st.composite
+def outcome_cases(draw):
+    """(a, b, mu, tau) for the outcome oracle.  Half the cases are exact ties
+    a_hat . lam = b_hat . lam = 0: horizontal a and b rotate to horizontal
+    a_hat and b_hat, and mu = 0 is the pole lam = (0, 0, 1)."""
+    tie = draw(st.booleans())
+
+    def unit():
+        v = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+        if tie:
+            v[2] = 0.0
+        norm = float(np.linalg.norm(v))
+        return v / norm if norm > 0.1 else np.array([1.0, 0.0, 0.0])
+
+    a, b = unit(), unit()
+    mu = 0.0 if tie else draw(st.floats(0.0, 2.0 * PI, exclude_max=True))
+    return a, b, mu, draw(st.floats(0.0, PI, exclude_max=True))
+
+
 class TestModelOutcomes:
+    @given(outcome_cases())
+    @example((np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), 0.0, 0.0))
+    @example((np.array([0.6, 0.8, 0.0]), np.array([-0.6, -0.8, 0.0]), 0.0, 1.0))
+    @example((np.array([0.6, 0.8, 0.0]), np.array([0.0, 1.0, 0.0]), 0.0, 2.0))
+    def test_kernel_matches_scalar_oracle(self, case):
+        a, b, mu, tau = case
+        pair = rotated_settings(a, b)
+        lam = great_circle_point(mu, tau)
+        if a[2] == b[2] == mu == 0.0:  # the tie cases really tie
+            assert pair.a_hat @ lam == 0.0 and pair.b_hat @ lam == 0.0
+        A, B = _outcome_bits(pair.a_hat, pair.b_hat, lam[None])
+        assert A.shape == B.shape == (1,)
+        assert (1 - 2 * int(A[0]), 1 - 2 * int(B[0])) == model_outcomes(a, b, mu, tau)
+
     def test_equal_settings_anticorrelate(self):
         rng = np.random.default_rng(4)
+        points = rng.uniform([0.0, 0.0], [2.0 * PI, PI], size=(50, 2))
+        lam = np.array([great_circle_point(mu, tau) for mu, tau in points])
         for _ in range(50):
             a = random_unit(rng)
-            mu = rng.uniform(0.0, 2.0 * PI)
-            tau = rng.uniform(0.0, PI)
-            A, B = model_outcomes(a, a, mu, tau)
-            assert A in (-1, 1) and B == -A
+            pair = rotated_settings(a, a)
+            A, B = _outcome_bits(pair.a_hat, pair.b_hat, lam)
+            assert A.dtype == B.dtype == bool
+            np.testing.assert_array_equal(A, ~B)
 
     def test_constant_product_on_special_circle(self):
         # x-z plane settings at alpha = pi/4 against the tau = pi/2 circle:
         # both rotated projections are proportional to cos(mu)
         family = four_directions(PI / 4)
-        for mu in np.linspace(0.0, 2.0 * PI, 37):
-            A, B = model_outcomes(family.a, family.b, mu, PI / 2)
-            assert A * B == -1
+        pair = rotated_settings(family.a, family.b)
+        lam = np.array([great_circle_point(mu, PI / 2) for mu in np.linspace(0.0, 2.0 * PI, 37)])
+        A, B = _outcome_bits(pair.a_hat, pair.b_hat, lam)
+        assert (A != B).all()
+
+    def test_mc_stream_is_pinned(self):
+        # pinned bit for bit: a change to the crypto-mc-lam stream, the
+        # outcome rule or the counting shows here
+        a_dir, b_dir = np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.8, -0.6])
+        z, x = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+        assert mc_joint_correlation(a_dir, b_dir, 100_003, 17) == (
+            0.47743567692969213,
+            0.00277856029914777,
+        )
+        assert mc_joint_correlation(z, x, 5_000, 3) == (-0.0196, 0.014140833095405887)
 
     def test_full_sphere_average_is_singlet(self):
         rng = np.random.default_rng(5)

@@ -8,6 +8,7 @@ import pytest
 
 from nonlocality_lab import entangled_ops
 from nonlocality_lab.entangled_ops import (
+    _basis_stacks,
     coords_from_observable,
     curve_partition,
     curve_point,
@@ -17,7 +18,6 @@ from nonlocality_lab.entangled_ops import (
     make_schmidt_state,
     malus_law,
     observable_from_coords,
-    operator_basis,
     single_expectation,
     square_expectation,
     theorem_bound,
@@ -53,13 +53,13 @@ def random_omega_observable(n, rng):
 
 def oracle_coords_from_observable(matrix):
     n = matrix.shape[0]
-    basis, _ = operator_basis(n)
+    basis, _ = _basis_stacks(n)
     return np.array([np.trace(f @ matrix).real / n for f in basis])
 
 
 def oracle_joint_expectation(a_coords, b_coords):
     n = math.isqrt(a_coords.size)
-    basis, partners = operator_basis(n)
+    basis, partners = _basis_stacks(n)
     a_op = sum(c * f for c, f in zip(a_coords, basis))
     b_op = sum(c * g for c, g in zip(b_coords, partners))
     psi = make_schmidt_state(n).amplitudes.reshape(n, n)
@@ -184,7 +184,7 @@ class TestTransposePartner:
 
 class TestOperatorBasis:
     def test_count_and_first_member(self):
-        basis, partners = operator_basis(2)
+        basis, partners = _basis_stacks(2)
         assert len(basis) == 4 and len(partners) == 4
         np.testing.assert_allclose(
             basis[0], math.sqrt(2) * np.diag([1.0, 0.0]), atol=1e-15
@@ -192,13 +192,13 @@ class TestOperatorBasis:
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_all_hermitian(self, n):
-        basis, partners = operator_basis(n)
-        for op in basis + partners:
+        basis, partners = _basis_stacks(n)
+        for op in np.concatenate([basis, partners]):
             assert np.max(np.abs(op - op.conj().T)) < 1e-15
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_orthonormal_on_state(self, n):
-        basis, partners = operator_basis(n)
+        basis, partners = _basis_stacks(n)
         psi = make_schmidt_state(n).amplitudes
         for r in range(n * n):
             for s in range(n * n):
@@ -270,7 +270,7 @@ class TestDenseKronOracle:
     @pytest.mark.parametrize("n", (2, 3, 4))
     def test_joint(self, n):
         rng = np.random.default_rng(50 + n)
-        basis, partners = operator_basis(n)
+        basis, partners = _basis_stacks(n)
         for _ in range(5):
             a = rng.normal(size=n * n)
             b = rng.normal(size=n * n)

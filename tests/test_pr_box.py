@@ -113,6 +113,13 @@ class TestHiddenTable:
         with pytest.raises(ValueError):
             pr_table_from_hidden((-0.2, 1.2))
 
+    @pytest.mark.parametrize(
+        "prior", [(float("nan"), 0.5), (0.5,), (0.5, 0.5, 0.7)], ids=["nan", "one", "three"]
+    )
+    def test_prior_is_exactly_two_weights(self, prior):
+        with pytest.raises(ValueError, match="prior"):
+            pr_table_from_hidden(prior)
+
 
 class TestChsh:
     def test_exact_saturation(self):

@@ -18,7 +18,6 @@ from nonlocality_lab.singlet_sim import (
     _sign_products,
     as_unit_vector,
     estimate_singlet_correlation,
-    sgn,
     singlet_round,
 )
 
@@ -26,6 +25,11 @@ Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
 A_DIR = np.array([0.6, 0.0, 0.8])
 B_DIR = np.array([0.0, 0.8, -0.6])
+
+
+def sgn(r: float) -> int:
+    """Sign with range {-1, +1}; sgn(0) = +1 by convention."""
+    return 1 if r >= 0.0 else -1
 
 
 def scalar_round(a, b, lam1, lam2, box_bit):
@@ -87,6 +91,8 @@ def zero_projection_rounds(rng, n):
 
 
 class TestSgn:
+    """The oracle's sign convention."""
+
     def test_declared_values(self):
         assert sgn(0.3) == 1
         assert sgn(-2.0) == -1
