@@ -46,8 +46,9 @@ print(f"CHSH combination: F = {report.f:g} -> {report.nonlocality.value}")
 
 print()
 print("What the formal checkers say about the ideal (mixed) box:")
-print(f"  no-signaling:            {check_no_signaling(table).ok}"
-      f" (max deviation {check_no_signaling(table).max_deviation:g})")
+no_sig = check_no_signaling(table)
+print(f"  no-signaling:            {no_sig.ok}"
+      f" (max deviation {no_sig.max_deviation:g})")
 print(f"  parameter independence:  {check_parameter_independence(table).ok}")
 oi = check_outcome_independence(table)
 print(f"  outcome independence:    {oi.ok}")

@@ -34,7 +34,6 @@ __all__ = [
     "OutcomeWitness",
     "ParameterWitness",
     "IndependenceResult",
-    "sign_of_bit",
     "correlation_from_table",
     "chsh_class_codes",
     "classify_chsh",
@@ -54,6 +53,12 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
 BITS = (0, 1)
 
+#: Setting-pair keys of the JSON wire format, in (x, y) row-major order.
+_JSON_KEYS = ["0,0", "0,1", "1,0", "1,1"]
+
+#: Sign products s_a s_b, indexed [a, b], with sign = 1 - 2*bit.
+_SIGN_PRODUCTS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
 
 class NonlocalityClass(enum.Enum):
     """Classification of a CHSH value |f|: local (<= 2), quantum nonlocal
@@ -71,16 +76,11 @@ class NonlocalityClass(enum.Enum):
 
 
 def _check_bit(name: str, value: int) -> int:
-    """``value`` if it is an integer or bool equal to 0 or 1; floats such as
-    1.0 and strings are rejected, not coerced."""
+    """``int(value)`` if it is an integer or bool equal to 0 or 1; floats such
+    as 1.0 and strings are rejected, not coerced."""
     if not isinstance(value, (int, np.integer, np.bool_)) or value not in BITS:
         raise ValueError(f"{name} must be 0 or 1, got {value!r}")
-    return value
-
-
-def sign_of_bit(bit: int) -> int:
-    """Map an outcome bit to its sign: 0 -> +1, 1 -> -1."""
-    return 1 - 2 * _check_bit("outcome bit", bit)
+    return int(value)
 
 
 class BoxTable:
@@ -111,15 +111,7 @@ class BoxTable:
         return self._probs
 
     def prob(self, x: int, y: int, a: int, b: int) -> float:
-        return float(self._probs[x, y, a, b])
-
-    def marginal_a(self, x: int, y: int, a: int) -> float:
-        """P(a | x, y)."""
-        return float(self._probs[x, y, a, :].sum())
-
-    def marginal_b(self, x: int, y: int, b: int) -> float:
-        """P(b | x, y)."""
-        return float(self._probs[x, y, :, b].sum())
+        return float(self._probs[tuple(map(_check_bit, "xyab", (x, y, a, b)))])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BoxTable):
@@ -135,24 +127,18 @@ class BoxTable:
     # -- JSON wire format: {"x,y": [P(0,0), P(0,1), P(1,0), P(1,1)], ...} --
 
     def to_json(self) -> str:
-        obj = {
-            f"{x},{y}": [self.prob(x, y, a, b) for a in BITS for b in BITS]
-            for x in BITS
-            for y in BITS
-        }
-        return json.dumps(obj)
+        return json.dumps(dict(zip(_JSON_KEYS, self._probs.reshape(4, 4).tolist())))
 
     @classmethod
     def from_json(cls, text: str) -> "BoxTable":
         """Parse ``to_json`` output; raise ValueError on any malformed input."""
         obj = json.loads(text, parse_int=float)  # a huge int parses to inf
-        keys = [f"{x},{y}" for x in BITS for y in BITS]
-        if not isinstance(obj, dict) or sorted(obj) != keys:
-            raise ValueError(f"expected a JSON object with exactly the keys {keys}")
-        for key in keys:
+        if not isinstance(obj, dict) or sorted(obj) != _JSON_KEYS:
+            raise ValueError(f"expected a JSON object with exactly the keys {_JSON_KEYS}")
+        for key in _JSON_KEYS:
             if not isinstance(obj[key], list) or [type(p) for p in obj[key]] != [float] * 4:
                 raise ValueError(f"row {key} must be a list of 4 numbers")
-        return cls(np.array([obj[key] for key in keys]).reshape(2, 2, 2, 2))
+        return cls(np.array([obj[key] for key in _JSON_KEYS]).reshape(2, 2, 2, 2))
 
 
 @dataclass(frozen=True)
@@ -216,11 +202,8 @@ def correlation_from_table(table: BoxTable, x: int, y: int) -> float:
 
     Returns P(equal signs | x, y) - P(unequal signs | x, y), in [-1, 1].
     """
-    value = 0.0
-    for a in BITS:
-        for b in BITS:
-            value += sign_of_bit(a) * sign_of_bit(b) * table.prob(x, y, a, b)
-    return value
+    row = table.probs[_check_bit("x", x), _check_bit("y", y)]
+    return float((row * _SIGN_PRODUCTS).sum())
 
 
 def chsh_class_codes(f) -> np.ndarray:
@@ -251,42 +234,39 @@ def check_no_signaling(table: BoxTable) -> IndependenceResult:
     return check_parameter_independence(table)
 
 
+def _first_violation(gap: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first entry of ``gap`` above ``ATOL`` in C order, or None."""
+    violated = gap > ATOL
+    if not violated.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(np.argmax(violated), gap.shape))
+
+
 def check_outcome_independence(table: BoxTable) -> IndependenceResult:
     """P(a | x, y, b) = P(a | x, y) and symmetrically, wherever defined.
 
-    Conditionals on zero-probability outcomes are skipped, not treated as
-    violations.  The witness reports the first violating tuple in scan order
-    (x, y, conditioning outcome, outcome), party "a" first.
+    Conditionals on outcomes of probability at most ``ATOL`` are skipped, not
+    treated as violations.  The witness reports the first violating tuple in
+    scan order (x, y, party, given, outcome), party "a" before "b".
     """
+    probs = table.probs
+    pa, pb = probs.sum(axis=3), probs.sum(axis=2)  # P(a | x, y), P(b | x, y)
+    # axes [x, y, party, given, outcome]; party "a" is conditioned on b
+    joint = np.stack([probs.swapaxes(2, 3), probs], axis=2)
+    denom = np.stack([pb, pa], axis=2)[..., None]
+    marginal = np.stack([pa, pb], axis=2)[:, :, :, None, :]
+    defined = denom > ATOL
+    conditional = joint / np.where(defined, denom, 1.0)
+    gap = np.where(defined, np.abs(conditional - marginal), 0.0)
+    at = _first_violation(gap)
     witness = None
-    deviation = 0.0
-    for x in BITS:
-        for y in BITS:
-            for party in ("a", "b"):
-                for given in BITS:
-                    if party == "a":
-                        denom = table.marginal_b(x, y, given)
-                    else:
-                        denom = table.marginal_a(x, y, given)
-                    if denom <= ATOL:
-                        continue
-                    for outcome in BITS:
-                        if party == "a":
-                            joint = table.prob(x, y, outcome, given)
-                            marginal = table.marginal_a(x, y, outcome)
-                        else:
-                            joint = table.prob(x, y, given, outcome)
-                            marginal = table.marginal_b(x, y, outcome)
-                        conditional = joint / denom
-                        gap = abs(conditional - marginal)
-                        deviation = max(deviation, gap)
-                        if gap > ATOL and witness is None:
-                            witness = OutcomeWitness(
-                                party, x, y, given, outcome, conditional, marginal
-                            )
-    return IndependenceResult(
-        ok=witness is None, max_deviation=deviation, witness=witness
-    )
+    if at is not None:
+        x, y, party, given, outcome = at
+        witness = OutcomeWitness(
+            "ab"[party], x, y, given, outcome,
+            float(conditional[at]), float(marginal[x, y, party, 0, outcome]),
+        )
+    return IndependenceResult(ok=at is None, max_deviation=float(gap.max()), witness=witness)
 
 
 def check_parameter_independence(table: BoxTable) -> IndependenceResult:
@@ -294,24 +274,20 @@ def check_parameter_independence(table: BoxTable) -> IndependenceResult:
 
     At the table level this coincides with marginal invariance under the
     remote setting (the no-signaling condition), but it additionally reports
-    a witness for the first violating marginal.
+    a witness for the first violating marginal, scanned in the order
+    (party, own setting, outcome).
     """
-    # marginals indexed [own setting, remote setting, own outcome]
-    marginals = {
-        "a": table.probs.sum(axis=3),
-        "b": table.probs.sum(axis=2).transpose(1, 0, 2),
-    }
+    probs = table.probs
+    # axes [party, own setting, remote setting, own outcome]
+    marginals = np.stack([probs.sum(axis=3), probs.sum(axis=2).transpose(1, 0, 2)])
+    gap = np.abs(marginals[:, :, 0] - marginals[:, :, 1])
+    at = _first_violation(gap)
     witness = None
-    deviation = 0.0
-    for party, marginal in marginals.items():
-        for setting in BITS:
-            for outcome in BITS:
-                p0, p1 = (float(p) for p in marginal[setting, :, outcome])
-                gap = abs(p0 - p1)
-                deviation = max(deviation, gap)
-                if gap > ATOL and witness is None:
-                    witness = ParameterWitness(party, setting, outcome, p0, p1)
-    return IndependenceResult(ok=witness is None, max_deviation=deviation, witness=witness)
+    if at is not None:
+        party, setting, outcome = at
+        p0, p1 = (float(p) for p in marginals[party, setting, :, outcome])
+        witness = ParameterWitness("ab"[party], setting, outcome, p0, p1)
+    return IndependenceResult(ok=at is None, max_deviation=float(gap.max()), witness=witness)
 
 
 def locality_check(table: BoxTable) -> bool:

@@ -17,7 +17,6 @@ import numpy as np
 
 from .correlations import (
     ATOL,
-    BITS,
     BoxTable,
     ChshReport,
     CorrelationSet,
@@ -35,13 +34,14 @@ __all__ = [
 ]
 
 
-def pr_relation_holds(x: int, y: int, a: int, b: int) -> bool:
-    """The defining constraint a + b = x*y (mod 2)."""
+def pr_relation_holds(x, y, a, b):
+    """The defining constraint a + b = x*y (mod 2), on bits or on integer
+    arrays alike."""
     return (a + b) % 2 == (x * y) % 2
 
 
 def _hidden_outputs(x, y, lam):
-    """The box formula, unchecked, on bits or on boolean arrays alike."""
+    """The box formula, unchecked, on bits or on integer or boolean arrays alike."""
     a = x ^ lam
     return a, a ^ (x & y)
 
@@ -56,14 +56,7 @@ def pr_hidden_outputs(x: int, y: int, lam: int) -> tuple[int, int]:
 
 def pr_ideal_table() -> BoxTable:
     """The ideal PR box: the two pairs allowed by the constraint get 1/2 each."""
-    probs = np.zeros((2, 2, 2, 2))
-    for x in BITS:
-        for y in BITS:
-            for a in BITS:
-                for b in BITS:
-                    if pr_relation_holds(x, y, a, b):
-                        probs[x, y, a, b] = 0.5
-    return BoxTable(probs)
+    return BoxTable(0.5 * pr_relation_holds(*np.indices((2, 2, 2, 2))))
 
 
 def pr_table_from_hidden(prior: tuple[float, float] = (0.5, 0.5)) -> BoxTable:
@@ -83,12 +76,11 @@ def pr_table_from_hidden(prior: tuple[float, float] = (0.5, 0.5)) -> BoxTable:
         raise ValueError(
             f"prior must be two finite non-negative weights summing to 1, got {prior!r}"
         )
+    x, y, lam = np.indices((2, 2, 2))
     probs = np.zeros((2, 2, 2, 2))
-    for x in BITS:
-        for y in BITS:
-            for lam, weight in ((0, p0), (1, p1)):
-                a, b = pr_hidden_outputs(x, y, lam)
-                probs[x, y, a, b] += weight
+    a, b = _hidden_outputs(x, y, lam)
+    # the two lam values of a setting pair land on different (a, b) cells
+    probs[x, y, a, b] += np.array([p0, p1])[lam]
     return BoxTable(probs)
 
 

@@ -25,6 +25,7 @@ DELETED = (
     "model_outcomes",
     "sgn",
     "operator_basis",
+    "sign_of_bit",
 )
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonlocality_lab.correlations import (
+    ATOL,
     TSIRELSON_BOUND,
     BoxTable,
     CorrelationSet,
+    IndependenceResult,
     NonlocalityClass,
     OutcomeWitness,
     ParameterWitness,
+    _check_bit,
     check_no_signaling,
     check_outcome_independence,
     check_parameter_independence,
@@ -24,7 +28,6 @@ from nonlocality_lab.correlations import (
     classify_chsh,
     correlation_from_table,
     locality_check,
-    sign_of_bit,
 )
 from nonlocality_lab.pr_box import pr_hidden_outputs, pr_ideal_table, pr_table_from_hidden
 from nonlocality_lab.singlet_sim import singlet_round
@@ -63,6 +66,11 @@ def singlet_correlation_dense(u, v):
     return float(np.real(SINGLET.conj() @ (op @ SINGLET)))
 
 
+def sign_of_bit(bit):
+    """Map an outcome bit to its sign: 0 -> +1, 1 -> -1."""
+    return 1 - 2 * _check_bit("outcome bit", bit)
+
+
 def singlet_table_dense(a0, a1, b0, b1):
     """Quantum box table from projector expectations on the singlet."""
     eye = np.eye(2)
@@ -97,19 +105,91 @@ def plane_direction(beta):
     return np.array([math.sin(beta), 0.0, math.cos(beta)])
 
 
+def outcome_independence_loops(table):
+    """The checker as a scan over bits in the documented order
+    (x, y, party, given, outcome)."""
+    probs = table.probs
+    witness = None
+    deviation = 0.0
+    for x in BITS:
+        for y in BITS:
+            for party in ("a", "b"):
+                for given in BITS:
+                    if party == "a":
+                        denom = float(probs[x, y, :, given].sum())
+                    else:
+                        denom = float(probs[x, y, given, :].sum())
+                    if denom <= ATOL:
+                        continue
+                    for outcome in BITS:
+                        if party == "a":
+                            joint = float(probs[x, y, outcome, given])
+                            marginal = float(probs[x, y, outcome, :].sum())
+                        else:
+                            joint = float(probs[x, y, given, outcome])
+                            marginal = float(probs[x, y, :, outcome].sum())
+                        conditional = joint / denom
+                        gap = abs(conditional - marginal)
+                        deviation = max(deviation, gap)
+                        if gap > ATOL and witness is None:
+                            witness = OutcomeWitness(
+                                party, x, y, given, outcome, conditional, marginal
+                            )
+    return IndependenceResult(ok=witness is None, max_deviation=deviation, witness=witness)
+
+
+def parameter_independence_loops(table):
+    """The checker as a scan over (party, own setting, outcome)."""
+    # marginals indexed [own setting, remote setting, own outcome]
+    marginals = {
+        "a": table.probs.sum(axis=3),
+        "b": table.probs.sum(axis=2).transpose(1, 0, 2),
+    }
+    witness = None
+    deviation = 0.0
+    for party, marginal in marginals.items():
+        for setting in BITS:
+            for outcome in BITS:
+                p0, p1 = (float(p) for p in marginal[setting, :, outcome])
+                gap = abs(p0 - p1)
+                deviation = max(deviation, gap)
+                if gap > ATOL and witness is None:
+                    witness = ParameterWitness(party, setting, outcome, p0, p1)
+    return IndependenceResult(ok=witness is None, max_deviation=deviation, witness=witness)
+
+
 # random-table strategy: eight positive weights, two normalized rows each
 row_strategy = st.lists(
     st.floats(min_value=0.01, max_value=1.0, allow_nan=False), min_size=4, max_size=4
 )
 
 
+# sparse rows: exact zeros, and a deterministic row whenever one weight is left
+sparse_row_strategy = st.lists(
+    st.just(0.0) | st.floats(min_value=0.01, max_value=1.0, allow_nan=False),
+    min_size=4,
+    max_size=4,
+).filter(any)
+
+
 @st.composite
-def box_tables(draw):
+def box_tables(draw, rows=row_strategy):
     probs = np.empty((2, 2, 2, 2))
     for x in BITS:
         for y in BITS:
-            row = np.asarray(draw(row_strategy))
+            row = np.asarray(draw(rows))
             probs[x, y] = (row / row.sum()).reshape(2, 2)
+    return BoxTable(probs)
+
+
+def sparse_box_tables():
+    return box_tables(sparse_row_strategy)
+
+
+def corner_table(p):
+    """Uniform rows, except (x, y) = (0, 0), which is [[p, 0], [0, 1 - p]]."""
+    probs = np.full((2, 2, 2, 2), 0.25)
+    probs[0, 0] = [[p, 0.0], [0.0, 1.0 - p]]
     return BoxTable(probs)
 
 
@@ -224,6 +304,10 @@ class TestBoxTable:
 Z = np.array([0.0, 0.0, 1.0])
 BIT_ENTRY_POINTS = {
     "sign_of_bit": sign_of_bit,
+    "correlation_from_table-x": lambda bit: correlation_from_table(uniform_table(), bit, 0),
+    "correlation_from_table-y": lambda bit: correlation_from_table(uniform_table(), 0, bit),
+    "BoxTable.prob-x": lambda bit: uniform_table().prob(bit, 0, 0, 0),
+    "BoxTable.prob-b": lambda bit: uniform_table().prob(0, 0, 0, bit),
     "pr_hidden_outputs-x": lambda bit: pr_hidden_outputs(bit, 0, 0),
     "pr_hidden_outputs-lam": lambda bit: pr_hidden_outputs(0, 0, bit),
     "singlet_round": lambda bit: singlet_round(Z, Z, Z, Z, bit),
@@ -399,6 +483,37 @@ class TestOutcomeIndependence:
         probs[:, :, 1, 0] = 1.0  # always (a, b) = (1, 0)
         assert check_outcome_independence(BoxTable(probs)).ok
 
+    def test_denominator_at_atol_is_skipped(self):
+        result = check_outcome_independence(corner_table(1e-12))
+        assert result.ok
+        assert result.max_deviation == 1e-12
+
+    def test_denominator_above_atol_is_checked(self):
+        result = check_outcome_independence(corner_table(2e-12))
+        assert not result.ok
+        assert result.witness == OutcomeWitness("a", 0, 0, 0, 0, 1.0, 2e-12)
+
+
+class TestCheckersMatchLoops:
+    """Each checker equals its scan over bits, witness fields and types included."""
+
+    @staticmethod
+    def assert_same(result, expected):
+        assert astuple(result) == astuple(expected)
+        assert [type(v) for v in astuple(result)] == [type(v) for v in astuple(expected)]
+
+    @given(box_tables() | sparse_box_tables())
+    @settings(max_examples=200)
+    def test_outcome_independence(self, table):
+        self.assert_same(check_outcome_independence(table), outcome_independence_loops(table))
+
+    @given(box_tables() | sparse_box_tables())
+    @settings(max_examples=200)
+    def test_parameter_independence(self, table):
+        self.assert_same(
+            check_parameter_independence(table), parameter_independence_loops(table)
+        )
+
 
 class TestParameterIndependence:
     def test_pr_table(self):
@@ -445,7 +560,7 @@ class TestLocality:
         )
         assert check_no_signaling(table).ok
 
-    @given(box_tables())
+    @given(box_tables() | sparse_box_tables())
     @settings(max_examples=100)
     def test_equals_oi_and_pi(self, table):
         conjunction = (

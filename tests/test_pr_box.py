@@ -65,11 +65,9 @@ class TestIdealTable:
         assert table.prob(1, 1, 0, 0) == 0.0
 
     def test_marginals_uniform(self):
-        table = pr_ideal_table()
-        for x in BITS:
-            for y in BITS:
-                assert table.marginal_a(x, y, 0) == 0.5
-                assert table.marginal_b(x, y, 0) == 0.5
+        probs = pr_ideal_table().probs
+        assert np.all(probs.sum(axis=3) == 0.5)  # P(a | x, y)
+        assert np.all(probs.sum(axis=2) == 0.5)  # P(b | x, y)
 
     def test_no_signaling_exact(self):
         result = check_no_signaling(pr_ideal_table())
