@@ -119,7 +119,7 @@ class BoxTable:
         return bool(np.array_equal(self._probs, other._probs))
 
     def __hash__(self) -> int:
-        return hash(self._probs.tobytes())
+        return hash(tuple(self._probs.ravel().tolist()))  # hash(-0.0) == hash(0.0), as for ==
 
     def __repr__(self) -> str:
         return f"BoxTable({self._probs.tolist()!r})"

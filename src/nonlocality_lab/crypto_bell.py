@@ -41,10 +41,12 @@ The tau averages are EXACT as well: a pair averages to s_1 s_2 (1 -
 antiderivative s atan2(v_x sin tau - v_y cos tau, |(v_z, q)|), so the
 integral over tau is a sum of increments between the few breakpoints
 where t_1 - t_2 may change sign (``_tau_integral``).  A dense Riemann sum
-is kept in the test suite as an independent cross-check; closed-form
-expressions (see ``chi_functions``) are evaluated both as printed and in a
-normalized variant and compared against the exact integrator, never
-trusted over it.
+is kept in the test suite as an independent cross-check.  The closed
+forms are array expressions over alpha and tau broadcast together:
+``closed_form_correlations`` returns the printed and the normalized variant
+(chi/2) stacked on a leading axis from one ``chi_functions`` call, and
+``closed_form_chsh`` checks both against the exact integrator, never the
+other way round.
 """
 
 from __future__ import annotations
@@ -248,20 +250,17 @@ def four_directions(alpha) -> FourDirectionFamily:
     return FourDirectionFamily(alpha, *np.moveaxis(vectors, -2, 0))
 
 
-def gamma_functions(alpha: float) -> tuple[float, float, float, float]:
-    """Auxiliary angles of the closed forms.
+def gamma_functions(alpha) -> np.ndarray:
+    """Auxiliary angles of the closed forms, shape (..., 4) for alpha of shape (...).
 
     gamma_1 and gamma_2 are the rotated angles of the (a, b) and (a', b')
     pairs; gamma_3/2 and gamma_4/2 are the in-plane polar positions of the
     rotated vectors of the cross pairs.
     """
-    s2 = math.pi * math.sin(alpha) ** 2
-    return (
-        s2,
-        math.pi * math.sin(3.0 * alpha) ** 2,
-        4.0 * alpha + s2,
-        4.0 * alpha - s2,
-    )
+    alpha = np.asarray(alpha, dtype=float)[..., None]
+    # (0, 0, 4a, 4a) + pi sin^2(a, 3a, a, a) * (1, 1, 1, -1), term by term
+    sines = np.sin(alpha * [1.0, 3.0, 1.0, 1.0])
+    return 4.0 * alpha * [0.0, 0.0, 1.0, 1.0] + np.pi * sines**2 * [1.0, 1.0, 1.0, -1.0]
 
 
 @lru_cache(maxsize=1)
@@ -284,31 +283,23 @@ def critical_alpha() -> float:
     return 0.5 * (lo + hi)
 
 
-def chi_functions(
-    alpha: float, tau: float, normalized: bool = False
-) -> tuple[float, float, float, float]:
-    """Closed-form kernels chi_j = 2 cos(tau) / sqrt(cos^2 tau + cot^2(gamma_j/2)).
+def chi_functions(alpha, tau) -> np.ndarray:
+    """Closed-form kernels chi_j = 2 cos(tau) / sqrt(cos^2 tau + cot^2(gamma_j/2)),
+    shape (..., 4) for alpha and tau broadcast to shape (...).
 
-    gamma_j = 0 is taken as the chi_j -> 0 limit; gamma_j = pi makes cot
+    gamma_j <= 0 is taken as the chi_j -> 0 limit; gamma_j = pi makes cot
     vanish so chi_j = +-2.  When cos(tau) and cot(gamma_j/2) vanish together
     (within 1e-12: floating-point pi/2 never gives an exact zero) the
-    expression is 0/0 and NaN marks the singular component.  The
-    ``normalized`` variant divides by 2; it is the variant that matches the
-    exact arc integration.
+    expression is 0/0 and NaN marks the singular component.  These are the
+    kernels as printed; halved, they match the exact arc integration.
     """
-    out = []
-    cos_tau = math.cos(tau)
-    for gamma in gamma_functions(alpha):
-        if gamma <= 0.0:
-            out.append(0.0)
-            continue
-        cot_half = math.cos(gamma / 2.0) / math.sin(gamma / 2.0)
-        if abs(cos_tau) < 1e-12 and abs(cot_half) < 1e-12:
-            out.append(math.nan)
-            continue
-        value = 2.0 * cos_tau / math.sqrt(cos_tau**2 + cot_half**2)
-        out.append(value / 2.0 if normalized else value)
-    return tuple(out)
+    gamma = gamma_functions(alpha)
+    cos_tau = np.cos(np.asarray(tau, dtype=float))[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cot_half = np.cos(gamma / 2.0) / np.sin(gamma / 2.0)
+        chi = 2.0 * cos_tau / np.sqrt(cos_tau**2 + cot_half**2)
+    singular = (np.abs(cos_tau) < 1e-12) & (np.abs(cot_half) < 1e-12)
+    return np.where(gamma <= 0.0, 0.0, np.where(singular, np.nan, chi))
 
 
 @dataclass(frozen=True)
@@ -348,23 +339,21 @@ def conditional_chsh(alpha: float, tau: float) -> ConditionalChsh:
     return ConditionalChsh(alpha, tau, *e[:, 0].tolist(), f, classify_chsh(f))
 
 
-def closed_form_correlations(
-    alpha: float, tau: float, normalized: bool = True
-) -> tuple[float, float, float, float]:
-    """Closed-form conditional correlations (e_ab, e_ab', e_a'b, e_a'b').
+def closed_form_correlations(alpha, tau) -> np.ndarray:
+    """Closed-form conditional correlations (e_ab, e_ab', e_a'b, e_a'b'),
+    shape (2, ..., 4) for alpha and tau broadcast to shape (...): index 0 of
+    the variant axis is the printed form, index 1 the normalized one (chi/2).
 
     e_ab = 2|chi_1| - 1, e_a'b' = 2|chi_2| - 1, and the cross pairs share
     |chi_3 - chi_4| - 1 below ``critical_alpha`` and 1 - |chi_3 + chi_4|
     above it.  NaN components propagate from singular chi values.
     """
-    x1, x2, x3, x4 = chi_functions(alpha, tau, normalized=normalized)
-    e_ab = 2.0 * abs(x1) - 1.0
-    e_apbp = 2.0 * abs(x2) - 1.0
-    if alpha <= critical_alpha():
-        cross = abs(x3 - x4) - 1.0
-    else:
-        cross = 1.0 - abs(x3 + x4)
-    return e_ab, cross, cross, e_apbp
+    chi = np.multiply.outer([1.0, 0.5], chi_functions(alpha, tau))
+    x1, x2, x3, x4 = np.moveaxis(chi, -1, 0)
+    cross = np.where(
+        np.asarray(alpha) <= critical_alpha(), np.abs(x3 - x4) - 1.0, 1.0 - np.abs(x3 + x4)
+    )
+    return np.stack([2.0 * np.abs(x1) - 1.0, cross, cross, 2.0 * np.abs(x2) - 1.0], -1)
 
 
 @dataclass(frozen=True)
@@ -397,22 +386,19 @@ class ClosedFormComparison:
 def closed_form_chsh(alpha: float, tau: float) -> ClosedFormComparison:
     """Evaluate both closed-form variants and compare with the exact arcs."""
     exact = conditional_chsh(alpha, tau)
-    printed = closed_form_correlations(alpha, tau, normalized=False)
-    normalized = closed_form_correlations(alpha, tau, normalized=True)
+    forms = closed_form_correlations(alpha, tau)
     exact_e = (exact.e_ab, exact.e_ab_prime, exact.e_a_prime_b, exact.e_a_prime_b_prime)
-
-    def max_dev(e):
-        return max(abs(u - v) for u, v in zip(e, exact_e))
-
-    singular = any(math.isnan(v) for v in printed + normalized)
+    singular = bool(np.isnan(forms).any())
+    devs = [math.inf] * 2 if singular else np.abs(forms - exact_e).max(axis=-1).tolist()
+    printed, normalized = map(tuple, forms.tolist())
     return ClosedFormComparison(
         exact=exact,
         printed=printed,
         normalized=normalized,
         printed_f=chsh_sum(printed),
         normalized_f=chsh_sum(normalized),
-        printed_max_dev=math.inf if singular else max_dev(printed),
-        normalized_max_dev=math.inf if singular else max_dev(normalized),
+        printed_max_dev=devs[0],
+        normalized_max_dev=devs[1],
         singular=singular,
     )
 

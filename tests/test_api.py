@@ -1,5 +1,6 @@
 """Guards on the package surface: each module's ``__all__`` is the one list of
-its public names, and no module keeps an unused import or internal name."""
+its public names, no module keeps an unused import or internal name, and no
+function takes a boolean switch."""
 
 import ast
 from pathlib import Path
@@ -105,3 +106,41 @@ class TestNoDeadCode:
             "def f(v):\n    return as_unit_vector(v)\n"
         )
         assert _unused_names(source) == ["import sgn", "TWO_PI", "_helper"]
+
+
+def _bool_knobs(path: Path) -> list[str]:
+    """Parameters, as ``function.name``, whose default is a bool literal."""
+    knobs = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = [
+                *zip(positional[len(positional) - len(args.defaults) :], args.defaults),
+                *zip(args.kwonlyargs, args.kw_defaults),
+            ]
+            knobs += [
+                f"{getattr(node, 'name', 'lambda')}.{arg.arg}"
+                for arg, default in pairs
+                if isinstance(default, ast.Constant) and isinstance(default.value, bool)
+            ]
+    return knobs
+
+
+class TestNoBoolKnobs:
+    """A formula with two variants returns both; it takes no switch between them."""
+
+    @pytest.mark.parametrize(
+        "path", sorted(Path(nonlocality_lab.__file__).parent.glob("*.py")), ids=lambda p: p.name
+    )
+    def test_no_bool_default(self, path):
+        assert _bool_knobs(path) == []
+
+    def test_guard_catches_leftovers(self, tmp_path):
+        source = tmp_path / "leftover.py"
+        source.write_text(
+            "def chi_functions(alpha, tau, normalized: bool = False):\n    pass\n"
+            "def g(x, *, strict=True, n=0, label=None):\n    pass\n"
+            "def h(x=1, y=False):\n    pass\n"
+        )
+        assert _bool_knobs(source) == ["chi_functions.normalized", "g.strict", "h.y"]

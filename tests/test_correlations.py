@@ -287,6 +287,17 @@ class TestBoxTable:
         with pytest.raises(ValueError):
             table.probs[0, 0, 0, 0] = 1.0
 
+    def test_signed_zero_hashes_like_zero(self):
+        table = pr_ideal_table()
+        probs = table.probs.copy()
+        probs[probs == 0.0] = -0.0
+        text = table.to_json().replace("0.0", "-0.0")
+        for twin in (BoxTable(probs), BoxTable.from_json(text)):
+            assert np.signbit(twin.probs).any()
+            assert twin == table and hash(twin) == hash(table)
+            assert len({twin, table}) == 1
+        assert BoxTable(probs).to_json() == text
+
     def test_json_roundtrip(self):
         table = pr_ideal_table()
         text = table.to_json()

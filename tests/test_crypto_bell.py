@@ -672,11 +672,63 @@ class TestFourDirections:
                 assert getattr(stacked, name)[i].tobytes() == getattr(single, name).tobytes()
 
 
+def oracle_gamma_functions(alpha: float) -> tuple[float, float, float, float]:
+    """Oracle for ``gamma_functions``: the old scalar body.  Squares are
+    products, as in the arrays: ``x ** 2`` on a Python float calls libm pow,
+    which rounds about 1 square in 1 300 one ulp off."""
+    s2 = math.pi * (math.sin(alpha) * math.sin(alpha))
+    s6 = math.sin(3.0 * alpha)
+    return (s2, math.pi * (s6 * s6), 4.0 * alpha + s2, 4.0 * alpha - s2)
+
+
+def oracle_chi_functions(alpha: float, tau: float, normalized: bool = False):
+    """Oracle for ``chi_functions`` and its halved variant: the old per-gamma loop."""
+    out = []
+    cos_tau = math.cos(tau)
+    for gamma in oracle_gamma_functions(alpha):
+        if gamma <= 0.0:
+            out.append(0.0)
+            continue
+        cot_half = math.cos(gamma / 2.0) / math.sin(gamma / 2.0)
+        if abs(cos_tau) < 1e-12 and abs(cot_half) < 1e-12:
+            out.append(math.nan)
+            continue
+        value = 2.0 * cos_tau / math.sqrt(cos_tau * cos_tau + cot_half * cot_half)
+        out.append(value / 2.0 if normalized else value)
+    return tuple(out)
+
+
+def oracle_closed_form_correlations(alpha: float, tau: float, normalized: bool):
+    """Oracle for one variant of ``closed_form_correlations``: the old scalar body."""
+    x1, x2, x3, x4 = oracle_chi_functions(alpha, tau, normalized=normalized)
+    e_ab = 2.0 * abs(x1) - 1.0
+    e_apbp = 2.0 * abs(x2) - 1.0
+    if alpha <= critical_alpha():
+        cross = abs(x3 - x4) - 1.0
+    else:
+        cross = 1.0 - abs(x3 + x4)
+    return e_ab, cross, cross, e_apbp
+
+
+def oracle_closed_forms(alpha: float, tau: float) -> np.ndarray:
+    """Both variants from the oracle, stacked (2, 4) like ``closed_form_correlations``."""
+    return np.array([oracle_closed_form_correlations(alpha, tau, n) for n in (False, True)])
+
+
+def assert_within_one_ulp(got, want):
+    """Equal NaN positions; elsewhere |got - want| <= one ulp of want."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = np.isnan(want) | (np.abs(got - want) <= np.spacing(np.abs(want)))
+    assert ok.all(), f"{int((~ok).sum())} components off by more than 1 ulp"
+
+
 class TestGammaAndChi:
     def test_gamma_values(self):
         g1, g2, g3, g4 = gamma_functions(PI / 6)
         assert g2 == pytest.approx(PI, abs=1e-15)
-        assert gamma_functions(0.0) == (0.0, 0.0, 0.0, 0.0)
+        assert np.array_equal(gamma_functions(0.0), np.zeros(4))
         g1, g2, g3, g4 = gamma_functions(PI / 4)
         assert g1 == pytest.approx(PI / 2, abs=1e-15)
         assert g3 == pytest.approx(3 * PI / 2, abs=1e-15)
@@ -742,11 +794,11 @@ class TestClosedForms:
         assert comparison.normalized_f == pytest.approx(-2.0, abs=1e-15)
 
     def test_normalized_matches_exact(self):
-        normalized = closed_form_correlations(PI / 4, 0.0, normalized=True)
+        normalized = closed_form_correlations(PI / 4, 0.0)[1]
         assert normalized[0] == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-12)
 
     def test_printed_exceeds_unit_interval(self):
-        printed = closed_form_correlations(PI / 4, 0.0, normalized=False)
+        printed = closed_form_correlations(PI / 4, 0.0)[0]
         assert printed[0] == pytest.approx(2.0 * math.sqrt(2.0) - 1.0, abs=1e-12)
         assert printed[0] > 1.0  # the discrepancy being flagged
 
@@ -770,10 +822,96 @@ class TestClosedForms:
     def test_branches_agree_at_critical_alpha(self):
         alpha = critical_alpha()
         tau = 0.7
-        x1, x2, x3, x4 = chi_functions(alpha, tau, normalized=True)
+        x1, x2, x3, x4 = chi_functions(alpha, tau) / 2.0
         regime1 = abs(x3 - x4) - 1.0
         regime2 = 1.0 - abs(x3 + x4)
         assert regime1 == pytest.approx(regime2, abs=1e-9)
+
+
+def random_points(n: int, seed: int):
+    """n uniform (alpha, tau) points of [0, pi/4] x [0, pi), as two arrays."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, PI / 4, n), rng.uniform(0.0, PI, n)
+
+
+#: (alpha, tau) with singular components, and the components that are NaN
+SINGULAR_POINTS = (
+    ((PI / 6, PI / 2), [3]),  # gamma_2 = pi: e_a'b'
+    ((critical_alpha(), PI / 2), [1, 2]),  # gamma_3 = pi: both cross pairs
+)
+
+
+class TestClosedFormArrays:
+    """The array contract of gamma, chi and both closed-form variants."""
+
+    def points(self):
+        alphas, taus = random_points(300, 31)
+        extra = [point for point, _ in SINGULAR_POINTS] + [(0.0, 0.7), (PI / 4, 0.0)]
+        return np.append(alphas, [a for a, _ in extra]), np.append(taus, [t for _, t in extra])
+
+    def test_shapes_and_variant_axis(self):
+        alphas, taus = random_points(6, 32)
+        assert gamma_functions(alphas).shape == (6, 4)
+        assert chi_functions(alphas, taus).shape == (6, 4)
+        assert chi_functions(alphas[:, None], taus).shape == (6, 6, 4)
+        assert closed_form_correlations(alphas[:, None], taus).shape == (2, 6, 6, 4)
+        assert closed_form_correlations(0.3, 1.0).shape == (2, 4)
+        printed, normalized = closed_form_correlations(0.3, 1.0)
+        assert np.array_equal(normalized[[0, 3]], np.abs(chi_functions(0.3, 1.0)[:2]) - 1.0)
+        assert np.array_equal(printed[[0, 3]], 2.0 * np.abs(chi_functions(0.3, 1.0)[:2]) - 1.0)
+
+    def test_rows_equal_length_one_calls(self):
+        alphas, taus = self.points()
+        grid = closed_form_correlations(alphas[:, None], taus[:40])
+        rows = (gamma_functions(alphas), chi_functions(alphas, taus),
+                closed_form_correlations(alphas, taus))
+        for i, (alpha, tau) in enumerate(zip(alphas.tolist(), taus.tolist())):
+            singles = (gamma_functions(alpha), chi_functions(alpha, tau),
+                       closed_form_correlations(alpha, tau))
+            ones = (gamma_functions(alphas[i : i + 1])[0],
+                    chi_functions(alphas[i : i + 1], taus[i : i + 1])[0],
+                    closed_form_correlations(alphas[i : i + 1], taus[i : i + 1])[:, 0])
+            for row, single, one in zip((rows[0][i], rows[1][i], rows[2][:, i]), singles, ones):
+                assert single.tobytes() == row.tobytes() == one.tobytes()
+            assert grid[:, i].tobytes() == closed_form_correlations(alpha, taus[:40]).tobytes()
+
+    def test_matches_scalar_oracles(self):
+        alphas, taus = self.points()
+        gammas = gamma_functions(alphas)
+        chis = chi_functions(alphas, taus)
+        forms = closed_form_correlations(alphas, taus)
+        for i, (alpha, tau) in enumerate(zip(alphas.tolist(), taus.tolist())):
+            assert_within_one_ulp(gammas[i], oracle_gamma_functions(alpha))
+            assert_within_one_ulp(chis[i], oracle_chi_functions(alpha, tau))
+            assert_within_one_ulp(forms[:, i], oracle_closed_forms(alpha, tau))
+
+    @pytest.mark.parametrize("point, nan_components", SINGULAR_POINTS)
+    def test_nan_components_are_the_oracles(self, point, nan_components):
+        forms = closed_form_correlations(*point)
+        want = oracle_closed_forms(*point)
+        assert np.flatnonzero(np.isnan(forms[0])).tolist() == nan_components
+        assert np.array_equal(np.isnan(forms), np.isnan(want))
+        assert np.array_equal(forms, want, equal_nan=True)
+
+    def test_alpha_zero_is_the_gamma_zero_limit(self):
+        taus = np.linspace(0.0, PI, 9)
+        assert np.array_equal(gamma_functions(np.zeros(5)), np.zeros((5, 4)))
+        assert np.array_equal(chi_functions(0.0, taus), np.zeros((9, 4)))
+        assert np.array_equal(closed_form_correlations(0.0, taus), np.full((2, 9, 4), -1.0))
+
+
+@pytest.mark.parametrize("n_alpha, n_tau", [(200, 200), (40, 1000), (1000, 40)])
+def test_normalized_closed_form_matches_the_whole_scan(n_alpha, n_tau):
+    """Every cell of the scan: the normalized closed form equals the exact
+    arcs within 1e-13, and the printed one misses the grid by more than 1.
+    Near tau = pi/2 every chi is about 0, so single cells cannot tell the
+    printed form apart; the grid maximum does."""
+    scan = region_scan(n_alpha, n_tau)
+    printed, normalized = closed_form_correlations(scan.alphas[:, None], scan.taus)
+    exact = np.moveaxis(scan.e, 1, -1)
+    assert not np.isnan(printed).any() and not np.isnan(normalized).any()
+    assert np.abs(normalized - exact).max() <= 1e-13
+    assert np.abs(printed - exact).max() > 1.0
 
 
 # ---------------------------------------------------------------------------
