@@ -57,9 +57,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._rng import substream
 from .correlations import NonlocalityClass, chsh_class_codes, chsh_sum, classify_chsh
-from .singlet_sim import SphereSampler, _chunked_estimate, as_unit_vector
+from .singlet_sim import SphereSampler, _chunked_estimate, _stream_at, as_unit_vector
 
 __all__ = [
     "RotatedPair",
@@ -204,13 +203,18 @@ def mc_joint_correlation(a, b, n: int, seed: int) -> tuple[float, float]:
     go through the singlet estimator's chunked counter, in bounded memory.
     """
     pair = rotated_settings(a, b)
-    lam = SphereSampler(substream(seed, "crypto-mc-lam"))
 
-    def disagree(m: int) -> np.ndarray:
-        A, B = _outcome_bits(pair.a_hat, pair.b_hat, lam.sample(m))
-        return A != B
+    def open_rounds(start: int):
+        skip = SphereSampler.DRAWS_PER_POINT * start
+        lam = SphereSampler(_stream_at(seed, "crypto-mc-lam", skip))
 
-    estimate = _chunked_estimate(n, disagree)
+        def disagree(m: int) -> np.ndarray:
+            A, B = _outcome_bits(pair.a_hat, pair.b_hat, lam.sample(m))
+            return A != B
+
+        return disagree
+
+    estimate = _chunked_estimate(n, open_rounds)
     return estimate.e_hat, estimate.stderr
 
 

@@ -16,14 +16,21 @@ uses the box once per round, and each outcome alone is a fair coin only
 through it.
 
 Estimators draw ``CHUNK_ROUNDS`` rounds at a time and keep one integer, the
-count of rounds with product -1, so memory does not grow with n.  lam1, lam2
-and the box bits each have a named substream, which drawn in pieces equals
-itself drawn at once: no result depends on the chunk size.
+count of rounds with product -1, so memory does not grow with n.  The n
+rounds are split into contiguous segments on chunk boundaries, one per usable
+CPU: the caller's thread counts the first, one thread each the others, and
+the counts are summed.  lam1, lam2 and the box bits each have a named
+substream, which drawn in pieces equals itself drawn at once, and a segment
+opens each stream at its first round by advancing the generator past the
+draws of the rounds before it.  The count is an exact integer sum, so no
+result depends on the chunk size or the core count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +69,13 @@ class SphereSampler:
     """Points uniform on the unit sphere, drawn from one generator.
 
     Sampling contract: z uniform on [-1, 1) and azimuth uniform on
-    [-pi, pi), drawn as one (n, 2) block per call, so points drawn in pieces
-    equal points drawn at once.  Pass a named ``substream``.
+    [-pi, pi), drawn as one (n, 2) block of doubles per call, so points
+    drawn in pieces equal points drawn at once.  Each double takes one
+    64-bit draw from the generator, so a point takes ``DRAWS_PER_POINT``
+    draws.  Pass a named ``substream``.
     """
+
+    DRAWS_PER_POINT = 2
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
@@ -108,16 +119,62 @@ def _sign_products(a, b, lam1: np.ndarray, lam2: np.ndarray, bits: np.ndarray):
     return o_a ^ s1, o_b ^ ~sp
 
 
-def _chunked_estimate(n: int, disagree) -> SingletEstimate:
+def _stream_at(seed: int, label: str, draws: int) -> np.random.Generator:
+    """The named substream of ``seed`` with its first ``draws`` 64-bit
+    draws skipped, as if they had been drawn."""
+    rng = substream(seed, label)
+    rng.bit_generator.advance(draws)
+    return rng
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chunked_estimate(n: int, open_rounds) -> SingletEstimate:
     """Mean and standard error of n rounds of +-1 products, by counting.
 
-    ``disagree(m)`` draws the next m <= ``CHUNK_ROUNDS`` rounds and returns
-    the boolean mask of those with product -1.
+    ``open_rounds(start)`` returns a ``disagree(m)`` that draws the next
+    m <= ``CHUNK_ROUNDS`` rounds, the first of them round ``start``, and
+    returns the boolean mask of those with product -1.  Each segment opens
+    its own rounds; an error in any segment is raised here once every
+    thread has ended.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    chunks = (min(CHUNK_ROUNDS, n - start) for start in range(0, n, CHUNK_ROUNDS))
-    k = sum(int(np.count_nonzero(disagree(m))) for m in chunks)
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    n = int(n)
+    chunks = -(-n // CHUNK_ROUNDS)
+    segments = min(_usable_cpus(), chunks)
+    bounds = [CHUNK_ROUNDS * (chunks * i // segments) for i in range(segments)] + [n]
+    counts = [0] * segments
+    errors: list[BaseException | None] = [None] * segments
+
+    def count(i: int) -> None:
+        try:
+            start, stop = bounds[i], bounds[i + 1]
+            disagree = open_rounds(start)
+            counts[i] = sum(
+                int(np.count_nonzero(disagree(min(CHUNK_ROUNDS, stop - first))))
+                for first in range(start, stop, CHUNK_ROUNDS)
+            )
+        except BaseException as exc:  # re-raised in the caller below
+            errors[i] = exc
+
+    threads = [threading.Thread(target=count, args=(i,)) for i in range(1, segments)]
+    for thread in threads:
+        thread.start()
+    try:
+        count(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    error = next((e for e in errors if e is not None), None)
+    if error is not None:
+        raise error
+    k = sum(counts)
     e_hat = (n - 2 * k) / n
     stderr = math.sqrt((1.0 - e_hat * e_hat) / (n - 1)) if n > 1 else 0.0
     return SingletEstimate(e_hat=e_hat, stderr=stderr)
@@ -133,12 +190,17 @@ def estimate_singlet_correlation(a, b, n: int, seed: int) -> SingletEstimate:
     """
     a = as_unit_vector(a)
     b = as_unit_vector(b)
-    lam1 = SphereSampler(substream(seed, "singlet-lam1"))
-    lam2 = SphereSampler(substream(seed, "singlet-lam2"))
-    box = substream(seed, "pr-box-bit")
 
-    def disagree(m: int) -> np.ndarray:
-        A, B = _sign_products(a, b, lam1.sample(m), lam2.sample(m), box.random(m) < 0.5)
-        return A != B
+    def open_rounds(start: int):
+        skip = SphereSampler.DRAWS_PER_POINT * start
+        lam1 = SphereSampler(_stream_at(seed, "singlet-lam1", skip))
+        lam2 = SphereSampler(_stream_at(seed, "singlet-lam2", skip))
+        box = _stream_at(seed, "pr-box-bit", start)  # one draw per box bit
 
-    return _chunked_estimate(n, disagree)
+        def disagree(m: int) -> np.ndarray:
+            A, B = _sign_products(a, b, lam1.sample(m), lam2.sample(m), box.random(m) < 0.5)
+            return A != B
+
+        return disagree
+
+    return _chunked_estimate(n, open_rounds)

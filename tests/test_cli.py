@@ -87,6 +87,35 @@ class TestSinglet:
             "a", "b", "n", "seed", "e_hat", "stderr", "quantum_reference", "pass",
         }
 
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs sched_setaffinity and two usable CPUs",
+    )
+    def test_core_count_never_shows(self):
+        # pinned to one CPU the estimate runs serially; unpinned it splits
+        # 20 000 rounds (five chunks) across the usable CPUs
+        cpu = min(os.sched_getaffinity(0))
+        argv = ["singlet", "--n", "20000", "--pairs", "2", "--json"]
+        code = (
+            "import os, sys\n"
+            "from nonlocality_lab.cli import main\n"
+            "if sys.argv[1] != 'all':\n"
+            "    os.sched_setaffinity(0, {int(sys.argv[1])})\n"
+            "sys.exit(main(sys.argv[2:]))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        outputs = []
+        for pin in (str(cpu), "all"):
+            result = subprocess.run(
+                [sys.executable, "-c", code, pin, *argv],
+                env=env, capture_output=True, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["ok"] is True
+
 
 class TestCrypto:
     def test_eval_near_singularity(self, capsys):

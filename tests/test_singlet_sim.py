@@ -2,6 +2,8 @@
 
 import math
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,11 +13,14 @@ from hypothesis import strategies as st
 
 from nonlocality_lab import singlet_sim
 from nonlocality_lab._rng import substream
-from nonlocality_lab.crypto_bell import mc_joint_correlation, rotated_settings
+from nonlocality_lab.crypto_bell import _outcome_bits, mc_joint_correlation, rotated_settings
 from nonlocality_lab.pr_box import pr_hidden_outputs
 from nonlocality_lab.singlet_sim import (
+    CHUNK_ROUNDS,
+    SingletEstimate,
     SphereSampler,
     _sign_products,
+    _stream_at,
     as_unit_vector,
     estimate_singlet_correlation,
     singlet_round,
@@ -63,6 +68,47 @@ def singlet_draws(seed, n):
     lam2 = SphereSampler(substream(seed, "singlet-lam2")).sample(n)
     bits = substream(seed, "pr-box-bit").random(n) < 0.5
     return lam1, lam2, bits
+
+
+def serial_chunked_estimate(n, disagree):
+    """Test oracle: the counter before its rounds were split into segments.
+    ``disagree(m)`` draws the next m rounds of one stream set, in order."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    chunk = singlet_sim.CHUNK_ROUNDS
+    chunks = (min(chunk, n - start) for start in range(0, n, chunk))
+    k = sum(int(np.count_nonzero(disagree(m))) for m in chunks)
+    e_hat = (n - 2 * k) / n
+    stderr = math.sqrt((1.0 - e_hat * e_hat) / (n - 1)) if n > 1 else 0.0
+    return SingletEstimate(e_hat=e_hat, stderr=stderr)
+
+
+def serial_singlet(a, b, n, seed):
+    """Test oracle: ``estimate_singlet_correlation`` on one serial pass
+    through its three streams."""
+    lam1 = SphereSampler(substream(seed, "singlet-lam1"))
+    lam2 = SphereSampler(substream(seed, "singlet-lam2"))
+    box = substream(seed, "pr-box-bit")
+
+    def disagree(m):
+        A, B = _sign_products(a, b, lam1.sample(m), lam2.sample(m), box.random(m) < 0.5)
+        return A != B
+
+    return serial_chunked_estimate(n, disagree)
+
+
+def serial_full_sphere(a, b, n, seed):
+    """Test oracle: ``mc_joint_correlation`` on one serial pass through its
+    stream."""
+    pair = rotated_settings(a, b)
+    lam = SphereSampler(substream(seed, "crypto-mc-lam"))
+
+    def disagree(m):
+        A, B = _outcome_bits(pair.a_hat, pair.b_hat, lam.sample(m))
+        return A != B
+
+    estimate = serial_chunked_estimate(n, disagree)
+    return estimate.e_hat, estimate.stderr
 
 
 def random_rounds(rng, n):
@@ -228,6 +274,20 @@ class TestEstimator:
         with pytest.raises(ValueError):
             estimate_singlet_correlation(Z, X, 0, 1)
 
+    @pytest.mark.parametrize("bad", [True, False, np.True_, 2.0, np.float64(5.0), "5", None, 0, -3])
+    @pytest.mark.parametrize("estimator", [estimate_singlet_correlation, mc_joint_correlation])
+    def test_malformed_round_count(self, estimator, bad):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            estimator(A_DIR, B_DIR, bad, 1)
+
+    @pytest.mark.parametrize("n", [np.int64(5000), np.int32(5000), np.uint16(5000)])
+    @pytest.mark.parametrize("estimator", [estimate_singlet_correlation, mc_joint_correlation])
+    def test_numpy_integer_round_count(self, estimator, n):
+        got = estimator(A_DIR, B_DIR, n, 1)
+        assert got == estimator(A_DIR, B_DIR, 5000, 1)
+        values = (got.e_hat, got.stderr) if isinstance(got, SingletEstimate) else got
+        assert all(type(value) is float for value in values)
+
     def test_requires_unit_vectors(self):
         with pytest.raises(ValueError):
             estimate_singlet_correlation([0, 0, 2], X, 10, 1)
@@ -350,3 +410,83 @@ class TestChunkedCounter:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+class TestSegments:
+    """The rounds split across threads on chunk boundaries."""
+
+    @pytest.mark.parametrize(
+        "n", [1, CHUNK_ROUNDS - 1, CHUNK_ROUNDS, CHUNK_ROUNDS + 1, 100_003]
+    )
+    @pytest.mark.parametrize("seed", [1, 7, 12345])
+    def test_estimators_equal_serial_oracle(self, n, seed):
+        assert estimate_singlet_correlation(A_DIR, B_DIR, n, seed) == serial_singlet(
+            A_DIR, B_DIR, n, seed
+        )
+        assert mc_joint_correlation(A_DIR, B_DIR, n, seed) == serial_full_sphere(
+            A_DIR, B_DIR, n, seed
+        )
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 7, 40])
+    def test_segment_count_never_shows(self, monkeypatch, cpus):
+        # more segments than cores, uneven segment lengths, and a short
+        # switch interval so the threads interleave as often as they can
+        n, seed = 100_003, 31
+        want = serial_singlet(A_DIR, B_DIR, n, seed), serial_full_sphere(A_DIR, B_DIR, n, seed)
+        monkeypatch.setattr(singlet_sim, "_usable_cpus", lambda: cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = estimate_singlet_correlation(A_DIR, B_DIR, n, seed), mc_joint_correlation(
+                A_DIR, B_DIR, n, seed
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    @pytest.mark.parametrize("label", ["singlet-lam1", "singlet-lam2", "crypto-mc-lam"])
+    def test_sphere_stream_opened_at_start_is_its_tail(self, label):
+        # numpy draws one uint64 per double, so a point costs two draws
+        n, start, seed = 3 * CHUNK_ROUNDS + 5, 2 * CHUNK_ROUNDS, 41
+        full = SphereSampler(substream(seed, label)).sample(n)
+        skip = SphereSampler.DRAWS_PER_POINT * start
+        tail = SphereSampler(_stream_at(seed, label, skip)).sample(n - start)
+        assert tail.tobytes() == full[start:].tobytes()
+
+    def test_box_bit_stream_opened_at_start_is_its_tail(self):
+        n, start, seed = 3 * CHUNK_ROUNDS + 5, 2 * CHUNK_ROUNDS, 41
+        full = substream(seed, "pr-box-bit").random(n)
+        tail = _stream_at(seed, "pr-box-bit", start).random(n - start)
+        assert tail.tobytes() == full[start:].tobytes()
+
+    def test_segment_error_reaches_caller(self, monkeypatch):
+        # the caller's thread counts the segment that starts at round 0;
+        # every other segment fails, and no thread is left behind
+        baseline = threading.active_count()
+        caller = threading.current_thread()
+
+        def failing(*args):
+            if threading.current_thread() is not caller:
+                raise RuntimeError("segment failed")
+            return _sign_products(*args)
+
+        monkeypatch.setattr(singlet_sim, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(singlet_sim, "_sign_products", failing)
+        with pytest.raises(RuntimeError, match="segment failed"):
+            estimate_singlet_correlation(A_DIR, B_DIR, 8 * CHUNK_ROUNDS, 3)
+        assert threading.active_count() == baseline
+
+    def test_caller_segment_error_joins_the_others(self, monkeypatch):
+        baseline = threading.active_count()
+        caller = threading.current_thread()
+
+        def failing(*args):
+            if threading.current_thread() is caller:
+                raise RuntimeError("first segment failed")
+            return _sign_products(*args)
+
+        monkeypatch.setattr(singlet_sim, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(singlet_sim, "_sign_products", failing)
+        with pytest.raises(RuntimeError, match="first segment failed"):
+            estimate_singlet_correlation(A_DIR, B_DIR, 6 * CHUNK_ROUNDS, 3)
+        assert threading.active_count() == baseline
