@@ -16,7 +16,9 @@ failing ``theorem`` identity exits 1 with its N and residual on stderr.
 forms at their singular points, a non-finite theorem residual) is written
 as ``null``, never as a bare ``NaN`` or ``Infinity``.  All randomness
 derives from --seed through named substreams, so identical invocations
-produce byte-identical output.
+produce byte-identical output on one CPU dispatch level: numpy picks its
+ufunc kernels by CPU feature at run time, and the ``crypto scan`` CSV and
+the last digits of the ``theorem`` residuals move with that choice.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import json
 import math
 import re
 import sys
+from functools import lru_cache
 
 from ._rng import derive_seed, substream
 from .correlations import (
@@ -291,6 +294,7 @@ def _cmd_theorem(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nonlocality-lab",
@@ -376,6 +380,17 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line; returns its exit code.
+
+    The parser is built on the first call and reused by every later call in
+    the process, so the saving is per call, not per fresh process.  Reuse is
+    safe: ``parse_args`` fills a new namespace each call, ``_validate``
+    writes only to that namespace, and argparse reads ``sys.stderr`` and the
+    terminal width when it prints.  The ``_cmd_*`` functions are bound into
+    the parser at the first build, so rebinding one of those names later
+    does not reach ``main``; the library names they call are looked up at
+    call time.
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)

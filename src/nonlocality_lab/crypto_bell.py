@@ -58,7 +58,13 @@ from functools import lru_cache
 import numpy as np
 
 from .correlations import NonlocalityClass, chsh_class_codes, chsh_sum, classify_chsh
-from .singlet_sim import SphereSampler, _chunked_estimate, _stream_at, as_unit_vector
+from .singlet_sim import (
+    SphereSampler,
+    _chunked_estimate,
+    _real_array,
+    _stream_at,
+    as_unit_vector,
+)
 
 __all__ = [
     "RotatedPair",
@@ -246,7 +252,7 @@ class FourDirectionFamily:
 def four_directions(alpha) -> FourDirectionFamily:
     """The family at alpha, a float or an array; for an array each vector is
     a stack (..., 3) over it, whose rows equal the calls at each alpha."""
-    angles = np.asarray(alpha, dtype=float)
+    angles = _real_array(alpha)
     if not np.all((angles >= 0.0) & (angles <= math.pi / 4.0 + 1e-12)):  # NaN fails
         raise ValueError(f"alpha must lie in [0, pi/4], got {alpha}")
     theta = np.multiply.outer(angles, [1.0, -3.0, -1.0, 3.0])  # polar angles of a, a', b, b'

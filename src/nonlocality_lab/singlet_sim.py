@@ -53,9 +53,18 @@ __all__ = [
 CHUNK_ROUNDS = 1 << 12
 
 
+def _real_array(value) -> np.ndarray:
+    """``value`` as a float array; str, bool, object and complex input raise
+    ``ValueError`` instead of being converted."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"expected int or float values, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
 def as_unit_vector(v) -> np.ndarray:
     """Validate and return a finite unit 3-vector, or a (..., 3) stack of them."""
-    arr = np.asarray(v, dtype=float)
+    arr = _real_array(v)
     if arr.ndim == 0 or arr.shape[-1] != 3:
         raise ValueError(f"expected a 3-vector or a (..., 3) stack, got shape {arr.shape}")
     norm_sq = (arr * arr).sum(axis=-1)

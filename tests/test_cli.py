@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nonlocality_lab import entangled_ops
+from nonlocality_lab import cli, entangled_ops
 from nonlocality_lab.cli import main
 from nonlocality_lab.entangled_ops import MAX_DIM
 
@@ -23,6 +24,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 GRID = re.compile(r"([0-9]+)x([0-9]+)")
 # near misses of GRID: separators int() accepts, signs, non-ASCII digits
 NEAR_GRID = "0123456789xX _+-.\n\u0663\uff13"
+
+
+def child_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def strict_json(text):
@@ -103,13 +110,11 @@ class TestSinglet:
             "    os.sched_setaffinity(0, {int(sys.argv[1])})\n"
             "sys.exit(main(sys.argv[2:]))\n"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         outputs = []
         for pin in (str(cpu), "all"):
             result = subprocess.run(
                 [sys.executable, "-c", code, pin, *argv],
-                env=env, capture_output=True, timeout=120,
+                env=child_env(), capture_output=True, timeout=120,
             )
             assert result.returncode == 0, result.stderr
             outputs.append(result.stdout)
@@ -361,10 +366,8 @@ def test_negative_seed_runs_and_repeats(capsys, argv):
 
 def test_import_does_not_load_scipy():
     code = "import sys, nonlocality_lab.cli; print('scipy' in sys.modules)"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
@@ -375,3 +378,103 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call may see another's state."""
+
+    def test_defaults_come_back_after_explicit_values(self, capsys):
+        code, out = run_cli(capsys, "theorem", "--nmin", "3", "--nmax", "3", "--trials", "2", "--json")
+        assert code == 0
+        assert list(json.loads(out)["dimensions"]) == ["3"]
+        code, out = run_cli(capsys, "theorem", "--trials", "2", "--json")
+        assert code == 0
+        assert list(json.loads(out)["dimensions"]) == ["2", "3", "4", "5", "6"]
+
+    def test_scan_after_a_usage_error_matches_a_first_call(self, capsys, tmp_path):
+        cli._build_parser.cache_clear()
+        first = tmp_path / "first.csv"
+        assert main(["crypto", "scan", "--grid", "3x5", "--out", str(first)]) == 0
+        assert main(["crypto", "scan", "--grid", "4x4", "--out", str(tmp_path / "a.csv")]) == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["crypto", "scan", "--grid", "bad"])
+        assert excinfo.value.code == 2
+        again = tmp_path / "b.csv"
+        assert main(["crypto", "scan", "--grid", "3x5", "--out", str(again)]) == 0
+        assert again.read_bytes() == first.read_bytes()
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"wrote 15 cells to {first}"
+        assert out[-5:] == [f"wrote 15 cells to {again}", *out[1:5]]
+
+    @pytest.mark.parametrize(
+        "argv, exit_code",
+        [
+            (["crypto", "scan", "--grid", "bad"], 2),
+            (["theorem", "--nmin", "7", "--nmax", "3"], 2),
+            (["frobnicate"], 2),
+            (["--help"], 0),
+            (["crypto", "eval", "--help"], 0),
+        ],
+        ids=["grid", "range", "command", "help", "eval-help"],
+    )
+    def test_exit_output_is_the_same_on_a_later_call(self, capsys, argv, exit_code):
+        cli._build_parser.cache_clear()
+        outputs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == exit_code
+            captured = capsys.readouterr()
+            outputs.append((captured.out, captured.err))
+            assert run_cli(capsys, "prbox", "--json")[0] == 0
+        assert outputs[0] == outputs[1]
+        out, err = outputs[0]
+        # help goes to stdout only, a usage error to stderr only
+        assert (bool(out), bool(err)) == ((True, False) if exit_code == 0 else (False, True))
+
+    def test_in_process_bytes_equal_a_fresh_process(self, capsys, tmp_path, monkeypatch):
+        argvs = [
+            ["prbox", "--json"],
+            ["singlet", "--n", "20000", "--pairs", "2", "--json"],
+            ["crypto", "eval", "--alpha", "0.5", "--tau", "0.7", "--json"],
+            ["crypto", "tau-average", "--alpha", "0.3926990817"],
+            ["crypto", "scan", "--grid", "4x4", "--out", "scan.csv"],
+            ["theorem", "--nmax", "3", "--trials", "3", "--json"],
+        ]
+        csv_path = tmp_path / "scan.csv"
+        fresh = []
+        for argv in argvs:
+            result = subprocess.run(
+                [sys.executable, "-m", "nonlocality_lab.cli", *argv],
+                env=child_env(), cwd=tmp_path, capture_output=True, timeout=120,
+            )
+            fresh.append((result.returncode, result.stdout, result.stderr))
+        fresh_csv = csv_path.read_bytes()
+        csv_path.unlink()
+        monkeypatch.chdir(tmp_path)
+        for _ in range(2):
+            for argv, expected in zip(argvs, fresh):
+                code = main(argv)
+                captured = capsys.readouterr()
+                assert (code, captured.out.encode(), captured.err.encode()) == expected, argv
+            assert csv_path.read_bytes() == fresh_csv
+
+    def test_later_calls_construct_no_parser(self, capsys, tmp_path, monkeypatch):
+        constructed = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        assert main(["prbox"]) == 0
+        assert constructed  # the warm-up built the parser tree
+        constructed.clear()
+        assert main(["prbox", "--json"]) == 0
+        assert main(["crypto", "eval", "--alpha", "0.5", "--tau", "0.7"]) == 0
+        assert main(["crypto", "tau-average", "--alpha", "0.3"]) == 0
+        assert main(["crypto", "scan", "--grid", "4x4", "--out", str(tmp_path / "s.csv")]) == 0
+        assert main(["theorem", "--nmax", "2", "--trials", "1"]) == 0
+        assert constructed == []

@@ -662,6 +662,26 @@ class TestFourDirections:
         with pytest.raises(ValueError, match="alpha"):
             four_directions(alphas)
 
+    @pytest.mark.parametrize(
+        "bad",
+        ["0.3", True, np.array(0.3, dtype=object), 0.3 + 0j, ["0.1", "0.2"], [False, True]],
+        ids=["str", "bool", "object", "complex", "str-array", "bool-array"],
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        [four_directions, tau_average_chsh, quantum_chsh_reference],
+        ids=lambda f: f.__name__,
+    )
+    def test_non_numeric_alpha_rejected(self, entry, bad):
+        with pytest.raises(ValueError, match="int or float"):
+            entry(bad)
+
+    @pytest.mark.parametrize("alpha", [0, np.int64(0), 0.5, np.float32(0.5), np.float64(0.5)])
+    def test_int_and_float_alpha_accepted(self, alpha):
+        family = four_directions(alpha)
+        assert family.a.dtype == np.float64
+        assert family.a.tobytes() == four_directions(float(alpha)).a.tobytes()
+
     def test_array_rows_equal_scalar_calls(self):
         alphas = np.linspace(0.0, PI / 4, 37)
         stacked = four_directions(alphas)

@@ -309,6 +309,36 @@ class TestEstimator:
         with pytest.raises(ValueError, match="finite unit vectors"):
             as_unit_vector(stack)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["1", "0", "0"],
+            [True, False, False],
+            np.array([1, 0, 0], dtype=object),
+            [1 + 0j, 0, 0],
+        ],
+        ids=["str", "bool", "object", "complex"],
+    )
+    def test_unit_vector_rejects_non_numeric(self, bad):
+        with pytest.raises(ValueError, match="int or float"):
+            as_unit_vector(bad)
+
+    @pytest.mark.parametrize(
+        "good",
+        [
+            [1, 0, 0],
+            [1.0, 0.0, 0.0],
+            np.array([1, 0, 0], np.int8),
+            np.array([1, 0, 0], np.uint64),
+            np.array([1, 0, 0], np.float32),
+        ],
+        ids=["int", "float", "int8", "uint64", "float32"],
+    )
+    def test_unit_vector_accepts_ints_and_floats(self, good):
+        got = as_unit_vector(good)
+        assert got.dtype == np.float64
+        assert got.tolist() == [1.0, 0.0, 0.0]
+
     @pytest.mark.parametrize("shape", [(3, 1), (2, 2), (4,), (), (5, 0)])
     def test_unit_vector_rejects_shape(self, shape):
         with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
