@@ -210,12 +210,13 @@ def mc_joint_correlation(a, b, n: int, seed: int) -> tuple[float, float]:
     """
     pair = rotated_settings(a, b)
 
-    def open_rounds(start: int):
+    def open_rounds(start: int, chunk: int):
         skip = SphereSampler.DRAWS_PER_POINT * start
         lam = SphereSampler(_stream_at(seed, "crypto-mc-lam", skip))
+        scratch = np.empty(SphereSampler.SCRATCH_PER_POINT * chunk)
 
         def disagree(m: int) -> np.ndarray:
-            A, B = _outcome_bits(pair.a_hat, pair.b_hat, lam.sample(m))
+            A, B = _outcome_bits(pair.a_hat, pair.b_hat, lam.sample(m, out=scratch))
             return A != B
 
         return disagree

@@ -188,6 +188,35 @@ class TestSphereSampler:
         with pytest.raises(ValueError):
             sampler(0).sample(0)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 1001])
+    def test_matches_trig_formula(self, n):
+        # z and azimuth / pi as one (n, 2) block on [-1, 1), returned as the
+        # transpose of the stacked (x, y, z) rows
+        u = 2.0 * substream(3, "test-sphere").random((n, 2)) - 1.0
+        z, phi = u[:, 0], math.pi * u[:, 1]
+        r = np.sqrt(1.0 - z * z)
+        want = np.array([r * np.cos(phi), r * np.sin(phi), z]).T
+        got = sampler(3).sample(n)
+        assert got.tobytes() == want.tobytes()
+        assert (got.shape, got.strides) == (want.shape, want.strides)
+
+    @pytest.mark.parametrize("m", [1, 7, CHUNK_ROUNDS - 1, CHUNK_ROUNDS])
+    def test_out_buffer_equals_fresh_sample(self, m):
+        # a short draw after a longer one on the same buffer keeps the
+        # F-ordered layout: a C-ordered copy of the same points can give
+        # lam @ a different last bits, since it takes another matmul path
+        longer = CHUNK_ROUNDS + 1
+        buf = np.empty(SphereSampler.SCRATCH_PER_POINT * longer)
+        reused, fresh = sampler(6), sampler(6)
+        reused.sample(longer, out=buf)
+        fresh.sample(longer)
+        got, want = reused.sample(m, out=buf), fresh.sample(m)
+        assert got.tobytes() == want.tobytes()
+        assert (got.shape, got.strides) == (want.shape, want.strides) == ((m, 3), (8, 8 * m))
+        assert got.flags.f_contiguous
+        assert np.shares_memory(got, buf)
+        assert (got @ A_DIR).tobytes() == (want @ A_DIR).tobytes()
+
 
 class TestSingletRound:
     def test_hand_trace(self):
@@ -431,8 +460,11 @@ class TestChunkedCounter:
         assert estimate_singlet_correlation(A_DIR, B_DIR, 1, 3).stderr == 0.0
         assert mc_joint_correlation(A_DIR, B_DIR, 1, 3)[1] == 0.0
 
-    def test_memory_bounded_in_rounds(self):
-        # 1e7 rounds held at once would take over 1 GB
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_memory_bounded_in_rounds(self, monkeypatch, cpus):
+        # 1e7 rounds held at once would take over 1 GB; each segment holds
+        # one chunk's scratch, so the bound holds for any core count
+        monkeypatch.setattr(singlet_sim, "_usable_cpus", lambda: cpus)
         tracemalloc.start()
         try:
             estimate_singlet_correlation(A_DIR, B_DIR, 10_000_000, 29)
