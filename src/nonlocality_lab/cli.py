@@ -12,13 +12,15 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.  A
 line ``nonlocality-lab: error: cannot write <path>: <reason>`` goes to
 stderr.  A scan with an empty class exits 1 and names it on stderr, and a
 failing ``theorem`` identity exits 1 with its N and residual on stderr.
-``--json`` output is strict JSON: a value with no finite result (the closed
-forms at their singular points, a non-finite theorem residual) is written
-as ``null``, never as a bare ``NaN`` or ``Infinity``.  All randomness
-derives from --seed through named substreams, so identical invocations
-produce byte-identical output on one CPU dispatch level: numpy picks its
-ufunc kernels by CPU feature at run time, and the ``crypto scan`` CSV and
-the last digits of the ``theorem`` residuals move with that choice.
+Each command prints its text report unless ``--json`` is given; then
+``main`` writes the command's payload as strict JSON: a value with no
+finite result (the closed forms at their singular points, a non-finite
+theorem residual) is written as ``null``, never as ``NaN`` or
+``Infinity``.  All randomness derives from --seed through named
+substreams, so identical invocations produce byte-identical output on one
+CPU dispatch level: numpy picks its ufunc kernels by CPU feature at run
+time, and the ``crypto scan`` CSV and the last digits of the ``theorem``
+residuals move with that choice.
 """
 
 from __future__ import annotations
@@ -51,12 +53,15 @@ from .singlet_sim import SphereSampler, estimate_singlet_correlation
 __all__ = ["main"]
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, allow_nan=False))
-
-
-def _finite_or_none(value: float) -> float | None:
-    return value if math.isfinite(value) else None
+def _strict(value):
+    """``value`` with every non-finite float in it, at any depth, as ``None``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_strict(item) for item in value]
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +69,7 @@ def _finite_or_none(value: float) -> float | None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_prbox(args: argparse.Namespace) -> int:
+def _cmd_prbox(args: argparse.Namespace) -> tuple[dict, int]:
     table = pr_ideal_table()
     report = pr_chsh()
     no_sig = check_no_signaling(table)  # the parameter-independence scan
@@ -84,20 +89,18 @@ def _cmd_prbox(args: argparse.Namespace) -> int:
         and hidden_ok
         and slices_ok
     )
-    if args.json:
-        payload = {
-            "table": json.loads(table.to_json()),
-            "f": report.f,
-            "class": report.nonlocality.value,
-            "no_signaling": {"ok": no_sig.ok, "max_deviation": no_sig.max_deviation},
-            "parameter_independence": no_sig.ok,
-            "outcome_independence": oi_res.ok,
-            "hidden_model_reproduces_table": hidden_ok,
-            "deterministic_slices_oi_not_pi": slices_ok,
-            "ok": ok,
-        }
-        _print_json(payload)
-    else:
+    payload = {
+        "table": json.loads(table.to_json()),
+        "f": report.f,
+        "class": report.nonlocality.value,
+        "no_signaling": {"ok": no_sig.ok, "max_deviation": no_sig.max_deviation},
+        "parameter_independence": no_sig.ok,
+        "outcome_independence": oi_res.ok,
+        "hidden_model_reproduces_table": hidden_ok,
+        "deterministic_slices_oi_not_pi": slices_ok,
+        "ok": ok,
+    }
+    if not args.json:
         print("ideal PR box P(a,b|x,y), rows in (a,b) = 00,01,10,11 order:")
         for x in (0, 1):
             for y in (0, 1):
@@ -119,7 +122,7 @@ def _cmd_prbox(args: argparse.Namespace) -> int:
         print(f"hidden-bit model with prior (1/2,1/2) reproduces table: {'PASS' if hidden_ok else 'FAIL'}")
         print(f"deterministic slices satisfy OI, violate PI: {'PASS' if slices_ok else 'FAIL'}")
         print(f"overall: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    return payload, 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +130,7 @@ def _cmd_prbox(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_singlet(args: argparse.Namespace) -> int:
+def _cmd_singlet(args: argparse.Namespace) -> tuple[dict, int]:
     directions = SphereSampler(substream(args.seed, "singlet-directions"))
     records = []
     all_ok = True
@@ -151,9 +154,7 @@ def _cmd_singlet(args: argparse.Namespace) -> int:
                 "pass": ok,
             }
         )
-    if args.json:
-        _print_json({"pairs": records, "ok": all_ok})
-    else:
+    if not args.json:
         print(f"{'a.b':>10} {'e_hat':>10} {'-a.b':>10} {'stderr':>10}  verdict (4 sigma, 0.01 floor)")
         for rec in records:
             dot = -rec["quantum_reference"]
@@ -162,7 +163,7 @@ def _cmd_singlet(args: argparse.Namespace) -> int:
                 f"{rec['stderr']:>10.5f}  {'PASS' if rec['pass'] else 'FAIL'}"
             )
         print(f"all pairs {'PASS' if all_ok else 'FAIL'}")
-    return 0 if all_ok else 1
+    return {"pairs": records, "ok": all_ok}, 0 if all_ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -170,34 +171,29 @@ def _cmd_singlet(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_crypto_eval(args: argparse.Namespace) -> int:
+def _cmd_crypto_eval(args: argparse.Namespace) -> tuple[dict, int]:
     comparison = closed_form_chsh(args.alpha, args.tau)
     exact = comparison.exact
-    if args.json:
-        payload = {
-            "alpha": exact.alpha,
-            "tau": exact.tau,
-            "correlations": {
-                "e_ab": exact.e_ab,
-                "e_ab_prime": exact.e_ab_prime,
-                "e_a_prime_b": exact.e_a_prime_b,
-                "e_a_prime_b_prime": exact.e_a_prime_b_prime,
-            },
-            "f": exact.f,
-            "class": exact.nonlocality.value,
-            "closed_form": {
-                "printed": _finite_or_none(comparison.printed_f),
-                "normalized": _finite_or_none(comparison.normalized_f),
-            },
-            "discrepancy": {
-                "printed": _finite_or_none(comparison.printed_max_dev),
-                "normalized": _finite_or_none(comparison.normalized_max_dev),
-                "matching_variant": comparison.matching_variant,
-                "singular": comparison.singular,
-            },
-        }
-        _print_json(payload)
-    else:
+    payload = {
+        "alpha": exact.alpha,
+        "tau": exact.tau,
+        "correlations": {
+            "e_ab": exact.e_ab,
+            "e_ab_prime": exact.e_ab_prime,
+            "e_a_prime_b": exact.e_a_prime_b,
+            "e_a_prime_b_prime": exact.e_a_prime_b_prime,
+        },
+        "f": exact.f,
+        "class": exact.nonlocality.value,
+        "closed_form": {"printed": comparison.printed_f, "normalized": comparison.normalized_f},
+        "discrepancy": {
+            "printed": comparison.printed_max_dev,
+            "normalized": comparison.normalized_max_dev,
+            "matching_variant": comparison.matching_variant,
+            "singular": comparison.singular,
+        },
+    }
+    if not args.json:
         print(f"alpha = {exact.alpha!r}, tau = {exact.tau!r}")
         print(
             f"E(a,b) = {exact.e_ab:+.9f}  E(a,b') = {exact.e_ab_prime:+.9f}  "
@@ -216,16 +212,16 @@ def _cmd_crypto_eval(args: argparse.Namespace) -> int:
                 f"max correlation deviation {comparison.normalized_max_dev:.3e}"
             )
             print(f"matching variant: {comparison.matching_variant}")
-    return 0
+    return payload, 0
 
 
-def _cmd_crypto_scan(args: argparse.Namespace) -> int:
+def _cmd_crypto_scan(args: argparse.Namespace) -> tuple[None, int]:
     scan = region_scan(args.n_alpha, args.n_tau)
     try:
         scan_to_csv(scan, args.out)
     except OSError as exc:
         print(f"nonlocality-lab: error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-        return 2
+        return None, 2
     counts = scan.class_counts().tolist()
     peak = scan.peak()
     print(f"wrote {len(scan)} cells to {args.out}")
@@ -235,17 +231,17 @@ def _cmd_crypto_scan(args: argparse.Namespace) -> int:
     empty = " or ".join(cls.value for cls, count in zip(scan.CLASSES, counts) if not count)
     if empty:
         print(f"nonlocality-lab: scan has no {empty} cells", file=sys.stderr)
-    return 1 if empty else 0
+    return None, 1 if empty else 0
 
 
-def _cmd_crypto_tau_average(args: argparse.Namespace) -> int:
+def _cmd_crypto_tau_average(args: argparse.Namespace) -> tuple[None, int]:
     average = tau_average_chsh(args.alpha)
     reference = quantum_chsh_reference(args.alpha)
     gap = abs(average - reference)
     print(f"tau-averaged F = {average:.6f}")
     print(f"quantum oracle = {reference:.6f}")
     print(f"|difference| = {gap:.3e}")
-    return 0 if gap <= 1e-6 else 1
+    return None, 0 if gap <= 1e-6 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -253,40 +249,32 @@ def _cmd_crypto_tau_average(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_theorem(args: argparse.Namespace) -> int:
+def _cmd_theorem(args: argparse.Namespace) -> tuple[dict, int]:
     report = verification_report(args.nmin, args.nmax, trials=args.trials, seed=args.seed)
-    bounds = {n: theorem_bound(n) for n in (1, 10, 100, 10_000, 1_000_000)}
-    tolerances = report["tolerances"]
-    if args.json:
-        payload = {
-            "dimensions": {
-                str(n): {key: _finite_or_none(value) for key, value in res.items()}
-                for n, res in report["dimensions"].items()
-            },
-            "tolerances": tolerances,
-            "partition_bound": {str(n): b for n, b in bounds.items()},
-            "passed": report["passed"],
-        }
-        _print_json(payload)
-    else:
-        for n, residuals in report["dimensions"].items():
+    dims = {str(n): res for n, res in report["dimensions"].items()}
+    bounds = {str(n): theorem_bound(n) for n in (1, 10, 100, 10_000, 1_000_000)}
+    tolerances, passed = report["tolerances"], report["passed"]
+    for n, residuals in dims.items():
+        if not args.json:
             print(f"N = {n}")
-            for key, value in residuals.items():
-                verdict = "PASS" if value <= tolerances[key] else "FAIL"
-                print(f"  {key:<32} {value:.3e}  (tol {tolerances[key]:.0e})  {verdict}")
+        for key, value in residuals.items():
+            tol = tolerances[key]
+            ok = value <= tol  # False for NaN
+            if not args.json:
+                print(f"  {key:<32} {value:.3e}  (tol {tol:.0e})  {'PASS' if ok else 'FAIL'}")
+            if not ok:
+                print(
+                    f"nonlocality-lab: theorem: N = {n}: {key} residual {value:.3e}"
+                    f" exceeds tolerance {tol:.0e}",
+                    file=sys.stderr,
+                )
+    if not args.json:
         print("partition bound (2n/N) sin^2(pi/2n) at ||a||^2 = 1, N = 2:")
         for n, b in bounds.items():
             print(f"  n = {n:<9} bound = {b:.6e}")
-        print(f"overall: {'PASS' if report['passed'] else 'FAIL'}")
-    for n, residuals in report["dimensions"].items():
-        for key, value in residuals.items():
-            if not value <= tolerances[key]:
-                print(
-                    f"nonlocality-lab: theorem: N = {n}: {key} residual {value:.3e}"
-                    f" exceeds tolerance {tolerances[key]:.0e}",
-                    file=sys.stderr,
-                )
-    return 0 if report["passed"] else 1
+        print(f"overall: {'PASS' if passed else 'FAIL'}")
+    payload = {"dimensions": dims, "tolerances": tolerances, "partition_bound": bounds, "passed": passed}
+    return payload, 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +370,9 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
 def main(argv: list[str] | None = None) -> int:
     """Run one command line; returns its exit code.
 
+    Each ``_cmd_*`` returns ``(payload, exit_code)``; the payload is
+    ``None`` for the commands without ``--json``.
+
     The parser is built on the first call and reused by every later call in
     the process, so the saving is per call, not per fresh process.  Reuse is
     safe: ``parse_args`` fills a new namespace each call, ``_validate``
@@ -394,7 +385,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
-    return args.func(args)
+    payload, code = args.func(args)
+    if payload is not None and args.json:
+        print(json.dumps(_strict(payload), indent=2, allow_nan=False))
+    return code
 
 
 if __name__ == "__main__":

@@ -83,6 +83,17 @@ def _check_bit(name: str, value: int) -> int:
     return int(value)
 
 
+def _numeric_array(value, dtype: type = float) -> np.ndarray:
+    """``value`` as an array of ``dtype``, float or complex.  str, bool and
+    object input, and complex input for a float array, raise ``ValueError``
+    instead of being converted."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
+        kinds = "int, float or complex" if dtype is complex else "int or float"
+        raise ValueError(f"expected {kinds} values, got dtype {arr.dtype}")
+    return arr.astype(dtype, copy=False)
+
+
 class BoxTable:
     """Conditional outcome distribution P(a, b | x, y), all indices binary.
 
@@ -94,7 +105,7 @@ class BoxTable:
     __slots__ = ("_probs",)
 
     def __init__(self, probs: np.ndarray):
-        arr = np.asarray(probs, dtype=float)
+        arr = _numeric_array(probs)
         if arr.shape != (2, 2, 2, 2):
             raise ValueError(f"expected shape (2, 2, 2, 2), got {arr.shape}")
         if not np.all((arr >= -ATOL) & (arr <= 1.0 + ATOL)):

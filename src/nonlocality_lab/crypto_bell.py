@@ -57,14 +57,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .correlations import NonlocalityClass, chsh_class_codes, chsh_sum, classify_chsh
-from .singlet_sim import (
-    SphereSampler,
-    _chunked_estimate,
-    _real_array,
-    _stream_at,
-    as_unit_vector,
-)
+from .correlations import NonlocalityClass, _numeric_array, chsh_class_codes, chsh_sum, classify_chsh
+from .singlet_sim import SphereSampler, _chunked_estimate, _stream_at, as_unit_vector
 
 __all__ = [
     "RotatedPair",
@@ -164,9 +158,13 @@ def _arc_average(vectors, taus) -> np.ndarray:
     antipodes, two arcs of |sin|-weight |t_1 - t_2|, so they average to
     s_1 s_2 (1 - |t_1 - t_2|).  Identically vanishing projections have the
     sign sgn(0) = +1: a set of them averages to 1, one in a mixed pair to 0.
+    A non-finite tau raises ``ValueError``.
     """
+    taus = _numeric_array(taus)
+    if not np.all(np.isfinite(taus)):
+        raise ValueError(f"tau must be finite, got {taus}")
     v = np.asarray(vectors, dtype=float)[..., None, :, :]
-    taus = np.asarray(taus, dtype=float)[:, None]
+    taus = taus[:, None]
     q = v[..., 0] * np.cos(taus) + v[..., 1] * np.sin(taus)  # (..., T, k)
     p = np.broadcast_to(v[..., 2], q.shape)
     r = np.hypot(p, q)
@@ -185,21 +183,17 @@ def conditional_correlation(a, b, tau: float) -> float:
     return -float(_arc_average([pair.a_hat, pair.b_hat], [tau])[0])
 
 
-def crypto_local_average(a, tau: float, b=None) -> float:
+def crypto_local_average(a, tau: float) -> float:
     """Single-party average at fixed tau: (1/4) int A |sin mu| dmu.
 
-    When ``b`` is given, the model's rotated vector a_hat(a, b) is averaged;
-    otherwise ``a`` itself is.  Either way the average is exactly 0 unless
-    the projection onto the circle tau vanishes identically — opposite
-    hemispheres of a great circle carry opposite signs and equal weight —
-    which is the crypto-nonlocality property.  A vector orthogonal to the
-    whole circle has the constant sign sgn(0) = +1 and averages to 1.
+    The average is exactly 0 unless the projection of ``a`` onto the circle
+    tau vanishes identically — opposite hemispheres of a great circle carry
+    opposite signs and equal weight — which is the crypto-nonlocality
+    property; it holds for the model's rotated a_hat as for any vector.  A
+    vector orthogonal to the whole circle has the constant sign sgn(0) = +1
+    and averages to 1.
     """
-    if b is not None:
-        vector = rotated_settings(a, b).a_hat
-    else:
-        vector = as_unit_vector(a)
-    return float(_arc_average([vector], [tau])[0])
+    return float(_arc_average([as_unit_vector(a)], [tau])[0])
 
 
 def mc_joint_correlation(a, b, n: int, seed: int) -> tuple[float, float]:
@@ -253,7 +247,7 @@ class FourDirectionFamily:
 def four_directions(alpha) -> FourDirectionFamily:
     """The family at alpha, a float or an array; for an array each vector is
     a stack (..., 3) over it, whose rows equal the calls at each alpha."""
-    angles = _real_array(alpha)
+    angles = _numeric_array(alpha)
     if not np.all((angles >= 0.0) & (angles <= math.pi / 4.0 + 1e-12)):  # NaN fails
         raise ValueError(f"alpha must lie in [0, pi/4], got {alpha}")
     theta = np.multiply.outer(angles, [1.0, -3.0, -1.0, 3.0])  # polar angles of a, a', b, b'
@@ -268,7 +262,7 @@ def gamma_functions(alpha) -> np.ndarray:
     pairs; gamma_3/2 and gamma_4/2 are the in-plane polar positions of the
     rotated vectors of the cross pairs.
     """
-    alpha = np.asarray(alpha, dtype=float)[..., None]
+    alpha = _numeric_array(alpha)[..., None]
     # (0, 0, 4a, 4a) + pi sin^2(a, 3a, a, a) * (1, 1, 1, -1), term by term
     sines = np.sin(alpha * [1.0, 3.0, 1.0, 1.0])
     return 4.0 * alpha * [0.0, 0.0, 1.0, 1.0] + np.pi * sines**2 * [1.0, 1.0, 1.0, -1.0]
@@ -305,7 +299,7 @@ def chi_functions(alpha, tau) -> np.ndarray:
     kernels as printed; halved, they match the exact arc integration.
     """
     gamma = gamma_functions(alpha)
-    cos_tau = np.cos(np.asarray(tau, dtype=float))[..., None]
+    cos_tau = np.cos(_numeric_array(tau))[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
         cot_half = np.cos(gamma / 2.0) / np.sin(gamma / 2.0)
         chi = 2.0 * cos_tau / np.sqrt(cos_tau**2 + cot_half**2)

@@ -224,6 +224,23 @@ class TestBoxTable:
         with pytest.raises(ValueError, match="finite"):
             BoxTable(probs)
 
+    @pytest.mark.parametrize(
+        "probs",
+        [np.full((2, 2, 2, 2), "0.25"), np.full((2, 2, 2, 2), 0.25).astype(object)],
+        ids=["str", "object"],
+    )
+    def test_validation_non_numeric(self, probs):
+        with pytest.raises(ValueError, match="int or float"):
+            BoxTable(probs)
+
+    def test_validation_bool(self):
+        # a bool table whose rows sum to 1 as integers must still be refused
+        probs = np.zeros((2, 2, 2, 2), dtype=bool)
+        probs[..., 0, 0] = True
+        with pytest.raises(ValueError, match="int or float"):
+            BoxTable(probs)
+        assert BoxTable(probs.astype(int)).prob(0, 0, 0, 0) == 1.0
+
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_from_json_rejects_non_finite(self, bad):
         obj = json.loads(uniform_table().to_json())

@@ -454,6 +454,18 @@ class TestConditionalCorrelation:
             tau = rng.uniform(0.0, PI)
             assert conditional_correlation(a, -a, tau) == 1.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_rejected(self, bad):
+        family = four_directions(0.3)
+        for call in (
+            lambda: conditional_correlation(family.a, family.b, bad),
+            lambda: crypto_local_average(np.array([0.0, 0.0, 1.0]), bad),
+            lambda: conditional_chsh(0.3, bad),
+            lambda: closed_form_chsh(0.3, bad),
+        ):
+            with pytest.raises(ValueError, match="tau must be finite"):
+                call()
+
     def test_matches_dense_riemann(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
@@ -615,7 +627,7 @@ class TestLocalAverage:
         for _ in range(50):
             a, b = random_unit(rng), random_unit(rng)
             tau = rng.uniform(0.0, PI)
-            assert abs(crypto_local_average(a, tau, b=b)) <= 1e-12
+            assert abs(crypto_local_average(rotated_settings(a, b).a_hat, tau)) <= 1e-12
 
     def test_skew_symmetry(self):
         rng = np.random.default_rng(11)
@@ -669,8 +681,18 @@ class TestFourDirections:
     )
     @pytest.mark.parametrize(
         "entry",
-        [four_directions, tau_average_chsh, quantum_chsh_reference],
-        ids=lambda f: f.__name__,
+        [
+            four_directions,
+            tau_average_chsh,
+            quantum_chsh_reference,
+            gamma_functions,
+            lambda bad: chi_functions(bad, 1.0),
+            lambda bad: chi_functions(0.3, bad),
+        ],
+        ids=[
+            "four_directions", "tau_average_chsh", "quantum_chsh_reference", "gamma_functions",
+            "chi_functions-alpha", "chi_functions-tau",
+        ],
     )
     def test_non_numeric_alpha_rejected(self, entry, bad):
         with pytest.raises(ValueError, match="int or float"):

@@ -316,6 +316,31 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="non-finite"):
             curve_point(coords, 0.5)
 
+    @pytest.mark.parametrize(
+        "bad", [np.array(["1", "0", "0", "1"]), np.array([True, False, False, True])],
+        ids=["str", "bool"],
+    )
+    def test_non_numeric_coordinates(self, bad):
+        for fn in (observable_from_coords, single_expectation, square_expectation):
+            with pytest.raises(ValueError, match="int or float"):
+                fn(bad)
+        with pytest.raises(ValueError, match="int or float"):
+            joint_expectation(bad, np.zeros(4))
+        with pytest.raises(ValueError, match="int or float"):
+            curve_point(bad, 0.5)
+
+    @pytest.mark.parametrize(
+        "bad", [np.array([["1", "0"], ["0", "1"]]), np.eye(2, dtype=bool)], ids=["str", "bool"]
+    )
+    def test_non_numeric_matrix(self, bad):
+        for fn in (transpose_partner, coords_from_observable, decompose_observable, kernel_split):
+            with pytest.raises(ValueError, match="int, float or complex"):
+                fn(bad)
+
+    def test_complex_and_int_matrices_accepted(self):
+        assert transpose_partner(np.array([[0, 1j], [2, 0]])).tolist() == [[0, 2], [1j, 0]]
+        assert decompose_observable(np.eye(3, dtype=int)).alpha0 == 1.0
+
     def test_coordinates_must_be_a_vector(self):
         with pytest.raises(ValueError, match="coordinate vector"):
             observable_from_coords(np.zeros((2, 2)))

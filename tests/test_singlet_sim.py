@@ -17,8 +17,10 @@ from nonlocality_lab.crypto_bell import _outcome_bits, mc_joint_correlation, rot
 from nonlocality_lab.pr_box import pr_hidden_outputs
 from nonlocality_lab.singlet_sim import (
     CHUNK_ROUNDS,
+    MAX_SEGMENTS,
     SingletEstimate,
     SphereSampler,
+    _chunked_estimate,
     _sign_products,
     _stream_at,
     as_unit_vector,
@@ -460,10 +462,11 @@ class TestChunkedCounter:
         assert estimate_singlet_correlation(A_DIR, B_DIR, 1, 3).stderr == 0.0
         assert mc_joint_correlation(A_DIR, B_DIR, 1, 3)[1] == 0.0
 
-    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    @pytest.mark.parametrize("cpus", [1, 2, 8, 64])
     def test_memory_bounded_in_rounds(self, monkeypatch, cpus):
         # 1e7 rounds held at once would take over 1 GB; each segment holds
-        # one chunk's scratch, so the bound holds for any core count
+        # one chunk's scratch and at most MAX_SEGMENTS run, so the bound
+        # holds for any core count
         monkeypatch.setattr(singlet_sim, "_usable_cpus", lambda: cpus)
         tracemalloc.start()
         try:
@@ -505,6 +508,22 @@ class TestSegments:
         finally:
             sys.setswitchinterval(interval)
         assert got == want
+
+    @pytest.mark.parametrize("cpus", [1, 3, MAX_SEGMENTS, MAX_SEGMENTS + 1, 64])
+    def test_segment_count_is_capped(self, monkeypatch, cpus):
+        starts = []
+
+        def open_rounds(start, chunk):
+            starts.append(start)
+            return lambda m: np.zeros(m, bool)
+
+        monkeypatch.setattr(singlet_sim, "_usable_cpus", lambda: cpus)
+        estimate = _chunked_estimate(100 * CHUNK_ROUNDS, open_rounds)
+        assert estimate.e_hat == 1.0
+        assert sorted(starts) == [
+            CHUNK_ROUNDS * (100 * i // len(starts)) for i in range(len(starts))
+        ]
+        assert len(starts) == min(cpus, MAX_SEGMENTS)
 
     @pytest.mark.parametrize("label", ["singlet-lam1", "singlet-lam2", "crypto-mc-lam"])
     def test_sphere_stream_opened_at_start_is_its_tail(self, label):
