@@ -7,11 +7,16 @@ One executable, four subcommands:
     nonlocality-lab crypto eval|scan|tau-average
     nonlocality-lab theorem --nmin 2 --nmax 6 # operator-algebra residuals
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  A
-``crypto scan --out`` path that cannot be written is a usage error: one
-line ``nonlocality-lab: error: cannot write <path>: <reason>`` goes to
-stderr.  A scan with an empty class exits 1 and names it on stderr, and a
-failing ``theorem`` identity exits 1 with its N and residual on stderr.
+Exit codes: 0 success, 1 verification failure, 2 usage error.  ``crypto
+scan`` streams its grid in blocks of whole alpha rows: each block is
+written to the CSV and added to the class counts and the peak before the
+next is computed, so the scan holds one block (``_SCAN_BLOCK_CELLS``
+cells, or one longer row) and O(n_alpha + n_tau) besides, for any
+``--grid``.  A ``crypto scan --out`` path that cannot be written is a
+usage error, found before the first block is computed: one line
+``nonlocality-lab: error: cannot write <path>: <reason>`` goes to stderr.
+A scan with an empty class exits 1 and names it on stderr, and a failing
+``theorem`` identity exits 1 with its N and residual on stderr.
 Each command prints its text report unless ``--json`` is given; then
 ``main`` writes the command's payload as strict JSON: a value with no
 finite result (the closed forms at their singular points, a non-finite
@@ -39,9 +44,11 @@ from .correlations import (
     check_parameter_independence,
 )
 from .crypto_bell import (
+    RegionScan,
+    _region_blocks,
+    _ScanTally,
     closed_form_chsh,
     quantum_chsh_reference,
-    region_scan,
     scan_to_csv,
     singlet_reference,
     tau_average_chsh,
@@ -216,19 +223,19 @@ def _cmd_crypto_eval(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_crypto_scan(args: argparse.Namespace) -> tuple[None, int]:
-    scan = region_scan(args.n_alpha, args.n_tau)
+    tally = _ScanTally()
     try:
-        scan_to_csv(scan, args.out)
+        scan_to_csv(map(tally.add, _region_blocks(args.n_alpha, args.n_tau)), args.out)
     except OSError as exc:
         print(f"nonlocality-lab: error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return None, 2
-    counts = scan.class_counts().tolist()
-    peak = scan.peak()
-    print(f"wrote {len(scan)} cells to {args.out}")
-    for cls, count in zip(scan.CLASSES, counts):
+    counts = tally.counts.tolist()
+    peak = tally.peak()
+    print(f"wrote {tally.cells} cells to {args.out}")
+    for cls, count in zip(RegionScan.CLASSES, counts):
         print(f"  {cls.value}: {count}")
     print(f"max |f| = {abs(peak.f):.6f} at alpha = {peak.alpha:.6f}, tau = {peak.tau:.6f}")
-    empty = " or ".join(cls.value for cls, count in zip(scan.CLASSES, counts) if not count)
+    empty = " or ".join(cls.value for cls, count in zip(RegionScan.CLASSES, counts) if not count)
     if empty:
         print(f"nonlocality-lab: scan has no {empty} cells", file=sys.stderr)
     return None, 1 if empty else 0

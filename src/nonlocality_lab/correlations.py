@@ -221,7 +221,7 @@ def chsh_class_codes(f) -> np.ndarray:
     """Elementwise class of CHSH values as an index into ``NonlocalityClass``:
     0 local (|f| <= 2), 1 quantum nonlocal (|f| <= 2*sqrt(2)), else 2 (NaN too)."""
     abs_f = np.abs(f)
-    return np.select([abs_f <= 2.0, abs_f <= TSIRELSON_BOUND], [0, 1], 2)
+    return 2 - (abs_f <= 2.0) - (abs_f <= TSIRELSON_BOUND)
 
 
 def classify_chsh(f: float) -> NonlocalityClass:

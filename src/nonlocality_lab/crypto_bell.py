@@ -33,8 +33,12 @@ CHSH value and region scan in this module goes through it.  The settings
 stack the same way: ``four_directions`` takes an array of alpha and
 ``rotated_settings`` (..., 3) stacks, row by row, so the scan rotates its
 whole family in one call.  It stacks whole alpha rows into blocks of about
-1.5k cells, one kernel call each, and returns its values as arrays
-(``RegionScan``) that ``scan_to_csv`` writes row by row.
+1.5k cells, one kernel call each, as arrays (``RegionScan``).  ``crypto
+scan`` streams them: ``scan_to_csv`` writes each block row by row while a
+``_ScanTally`` adds up its classes and peak candidates, and the block is
+dropped before the next is computed, so the scan holds the n_alpha rotated
+pairs, the n_tau centers and one block, whatever the grid.  ``region_scan``
+joins the same blocks into one ``RegionScan`` of the whole grid.
 
 The tau averages are EXACT as well: a pair averages to s_1 s_2 (1 -
 |t_1 - t_2|) on the circle tau, where each root offset t has the closed
@@ -471,14 +475,17 @@ def tau_average_chsh(alpha: float) -> float:
     return float(chsh_sum(-_tau_integral(_rotated_family(alpha)))) / math.pi
 
 
-#: Cells per ``_arc_average`` call in ``region_scan``: whole alpha rows are
-#: stacked up to this many cells, and a longer row is one call by itself.
+#: Cells per ``_arc_average`` call of the scan: whole alpha rows are stacked
+#: up to this many cells, and a longer row is one call by itself.  A block is
+#: also all of the grid that ``crypto scan`` holds at once: its e, f and
+#: class codes, the kernel's temporaries over it and its rows as text.
 _SCAN_BLOCK_CELLS = 1536
 
 
 @dataclass(frozen=True, eq=False)
 class RegionScan:
-    """Columnar result of ``region_scan`` on an n_alpha x n_tau grid.
+    """Columnar values of the scan on a block of whole alpha rows: the full
+    n_alpha x n_tau grid from ``region_scan``, or one block of it.
 
     ``alphas`` (n_alpha,) and ``taus`` (n_tau,) are the cell centers, ``e``
     (n_alpha, 4, n_tau) the four correlations in CHSH order, ``f`` and
@@ -512,28 +519,72 @@ class RegionScan:
 
     def peak(self) -> ConditionalChsh:
         """The first cell, in row-major order, within 1e-12 of the largest |f|:
-        rounding must not choose between cells that tie exactly, such as tau mirrors."""
-        abs_f = np.abs(self.f)
-        i, j = np.unravel_index(int(np.argmax(abs_f >= abs_f.max() - 1e-12)), abs_f.shape)
-        return ConditionalChsh(
-            float(self.alphas[i]),
-            float(self.taus[j]),
-            *self.e[i, :, j].tolist(),
-            float(self.f[i, j]),
-            self.CLASSES[self.codes[i, j]],
-        )
+        rounding must not choose between cells that tie exactly, such as tau
+        mirrors.  The same fold as a streamed scan (``_ScanTally``)."""
+        tally = _ScanTally()
+        tally.add(self)
+        return tally.peak()
 
 
-def region_scan(n_alpha: int = 200, n_tau: int = 200) -> RegionScan:
-    """Scan the (alpha, tau) rectangle [0, pi/4] x [0, pi) on cell centers.
+class _ScanTally:
+    """The cell count, the cells per class and the peak of a scan, folded
+    over its blocks in row-major order, so a scan is summed without being held.
 
-    Cell centers keep the scan off the two isolated singular points of the
-    closed forms.  Cell (i, j) has alpha = (i + 1/2) (pi/4) / n_alpha and
-    tau = (j + 1/2) pi / n_tau.  Whole alpha rows are stacked into one
-    kernel call of at most ``_SCAN_BLOCK_CELLS`` cells (a longer row is one
-    call).  The kernel works cell by cell, so every value is bit-identical
-    to one call per row, and so are the CSV bytes ``scan_to_csv`` writes.
-    Returns a columnar ``RegionScan``.
+    The peak rule is that of ``RegionScan.peak``.  The fold keeps each
+    record, a cell larger in |f| than every cell before it, while it is
+    within 1e-12 of the running maximum.  The peak is a record, since an
+    earlier cell at least as large would qualify too, and the running
+    maximum never exceeds the final one, so the peak is never dropped: it is
+    the first cell kept.  Records strictly increase, so at most one per
+    double of a 1e-12 window is held.
+    """
+
+    def __init__(self):
+        self.cells = 0
+        self.counts = np.zeros(len(RegionScan.CLASSES), dtype=int)
+        self._top = -math.inf
+        self._kept: list[tuple[float, ConditionalChsh]] = []
+
+    def add(self, block: RegionScan) -> RegionScan:
+        """Fold ``block``, the next alpha rows of the scan; returns it."""
+        self.cells += len(block)
+        self.counts += block.class_counts()
+        abs_f = np.abs(block.f).ravel()
+        block_top = float(abs_f.max())
+        if block_top > self._top:  # else the block holds no record
+            floor = block_top - 1e-12
+            self._kept = [kept for kept in self._kept if kept[0] >= floor]
+            # cells below the floor are below every hit, so a hit is a
+            # record when it beats the earlier blocks and the earlier hits
+            record = self._top
+            for k in np.flatnonzero(abs_f >= floor).tolist():
+                if abs_f[k] > record:
+                    record = float(abs_f[k])
+                    i, j = divmod(k, block.f.shape[1])
+                    cell = ConditionalChsh(
+                        float(block.alphas[i]),
+                        float(block.taus[j]),
+                        *block.e[i, :, j].tolist(),
+                        float(block.f[i, j]),
+                        block.CLASSES[block.codes[i, j]],
+                    )
+                    self._kept.append((record, cell))
+            self._top = block_top
+        return block
+
+    def peak(self) -> ConditionalChsh:
+        """The first cell, in row-major order, within 1e-12 of the largest |f|."""
+        return self._kept[0][1]
+
+
+def _region_blocks(n_alpha: int, n_tau: int):
+    """The scan of ``region_scan`` as an iterator of ``RegionScan`` blocks in
+    row-major order: whole alpha rows, at most ``_SCAN_BLOCK_CELLS`` cells
+    (or one longer row), from one kernel call each.
+
+    The grid is checked, and the whole family rotated in one call, before
+    the first block, so past that only the n_alpha rotated pairs and the
+    current block are held.
     """
     if n_alpha < 2 or n_tau < 2:
         raise ValueError("grid dimensions must be >= 2")
@@ -541,32 +592,61 @@ def region_scan(n_alpha: int = 200, n_tau: int = 200) -> RegionScan:
     taus = (np.arange(n_tau) + 0.5) * math.pi / n_tau
     pairs = _rotated_family(alphas)
     rows = max(1, _SCAN_BLOCK_CELLS // n_tau)
-    e = np.empty((n_alpha, 4, n_tau))
-    f = np.empty((n_alpha, n_tau))
-    for start in range(0, n_alpha, rows):
-        stop = min(start + rows, n_alpha)
-        e[start:stop], f[start:stop] = _family_chsh(pairs[start:stop], taus)
-    return RegionScan(alphas, taus, e, f, chsh_class_codes(f))
+
+    def blocks():
+        for start in range(0, n_alpha, rows):
+            e, f = _family_chsh(pairs[start : start + rows], taus)
+            yield RegionScan(alphas[start : start + rows], taus, e, f, chsh_class_codes(f))
+
+    return blocks()
 
 
-def scan_to_csv(scan: RegionScan, path: str) -> None:
+def region_scan(n_alpha: int = 200, n_tau: int = 200) -> RegionScan:
+    """Scan the (alpha, tau) rectangle [0, pi/4] x [0, pi) on cell centers.
+
+    Cell centers keep the scan off the two isolated singular points of the
+    closed forms.  Cell (i, j) has alpha = (i + 1/2) (pi/4) / n_alpha and
+    tau = (j + 1/2) pi / n_tau.  The grid is computed in the blocks of whole
+    alpha rows that ``crypto scan`` streams, one kernel call of at most
+    ``_SCAN_BLOCK_CELLS`` cells each (a longer row is one call), and joined
+    into one columnar ``RegionScan``, which holds the whole grid.  The
+    kernel works cell by cell, so every value is bit-identical to one call
+    per row, and the CSV bytes ``scan_to_csv`` writes equal the streamed ones.
+    """
+    blocks = list(_region_blocks(n_alpha, n_tau))
+    alphas, e, f, codes = (
+        np.concatenate(column)
+        for column in zip(*((block.alphas, block.e, block.f, block.codes) for block in blocks))
+    )
+    return RegionScan(alphas, blocks[0].taus, e, f, codes)
+
+
+def scan_to_csv(scan, path: str) -> None:
     """Write a scan as CSV with header alpha,tau,f,class, one line per cell
     in row-major order.
 
-    Floats use round-trip decimal formatting (``repr``), '.' separator, and
-    lines end in '\\r\\n', as ``csv.writer`` writes them with the default
-    dialect.  Each alpha row is one write.
+    ``scan`` is a ``RegionScan`` or an iterable of the blocks of one scan in
+    order, as ``crypto scan`` passes them.  The file is opened before the
+    first block is drawn, and each block is written row by row before the
+    next, so a stream is never held whole.  Floats use round-trip decimal
+    formatting (``repr``), '.' separator, and lines end in '\\r\\n', as
+    ``csv.writer`` writes them with the default dialect.  Each alpha row is
+    one write.
     """
-    taus = [repr(tau) for tau in scan.taus.tolist()]
-    names = [cls.value for cls in scan.CLASSES]
+    blocks = [scan] if isinstance(scan, RegionScan) else scan
+    ends = [f",{cls.value}\r\n" for cls in RegionScan.CLASSES]
+    parts = None
     with open(path, "w", newline="") as handle:
         handle.write("alpha,tau,f,class\r\n")
-        rows = zip(scan.alphas.tolist(), scan.f.tolist(), scan.codes.tolist())
-        for alpha, f_row, code_row in rows:
-            head = repr(alpha)
-            handle.write(
-                "".join(
-                    f"{head},{tau},{f!r},{names[code]}\r\n"
-                    for tau, f, code in zip(taus, f_row, code_row)
-                )
-            )
+        for block in blocks:
+            if parts is None:
+                # a line is alpha, ",tau,", f and ",class\r\n"; the blocks of
+                # a scan share its tau centers, so each row refills three slots
+                parts = [""] * (4 * block.taus.size)
+                parts[1::4] = [f",{tau!r}," for tau in block.taus.tolist()]
+            rows = zip(block.alphas.tolist(), block.f.tolist(), block.codes.tolist())
+            for alpha, f_row, code_row in rows:
+                parts[0::4] = [repr(alpha)] * len(f_row)
+                parts[2::4] = map(repr, f_row)
+                parts[3::4] = map(ends.__getitem__, code_row)
+                handle.write("".join(parts))

@@ -423,9 +423,11 @@ def theorem_bound(n: int, a_norm_sq: float = 1.0, dim: int = 2) -> float:
     Bounds the tau-integrated |conditional single-party average| of any
     quantum-equivalent crypto-nonlocal model; it decreases strictly for
     n >= 2 and vanishes as n -> infinity, forcing the average to zero.
+    ``n`` is a whole number of partition steps: a Python or numpy integer,
+    not a bool or a float.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be a whole number >= 1, got {n!r}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if not (math.isfinite(a_norm_sq) and a_norm_sq >= 0.0):

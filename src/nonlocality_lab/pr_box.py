@@ -21,6 +21,7 @@ from .correlations import (
     ChshReport,
     CorrelationSet,
     _check_bit,
+    _numeric_array,
     chsh_value,
     correlation_from_table,
 )
@@ -62,13 +63,14 @@ def pr_ideal_table() -> BoxTable:
 def pr_table_from_hidden(prior: tuple[float, float] = (0.5, 0.5)) -> BoxTable:
     """Box table obtained by averaging the deterministic model over lam.
 
-    ``prior`` is exactly two weights (P(lam=0), P(lam=1)); with the fair
-    prior this reproduces ``pr_ideal_table`` exactly.  Degenerate priors give
+    ``prior`` is exactly two int or float weights (P(lam=0), P(lam=1));
+    str and bool weights are rejected, not converted.  With the fair prior
+    this reproduces ``pr_ideal_table`` exactly.  Degenerate priors give
     deterministic tables that still satisfy the PR constraint but leak the
     remote input into the marginals (parameter independence fails).
     """
     try:
-        p0, p1 = (float(weight) for weight in prior)
+        p0, p1 = _numeric_array(prior).tolist()
         valid = p0 >= 0.0 and p1 >= 0.0 and abs(p0 + p1 - 1.0) <= ATOL  # False for NaN
     except (TypeError, ValueError):  # not two numbers
         valid = False

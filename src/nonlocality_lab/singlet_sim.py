@@ -128,11 +128,12 @@ class SphereSampler:
 def singlet_round(a, b, lam1, lam2, box_bit: int) -> tuple[int, int]:
     """One protocol round; returns the outcome bits (A, B).
 
-    ``box_bit`` is the PR box's internal hidden bit for this round.  This is
-    the batch kernel called on one round.
+    ``box_bit`` is the PR box's internal hidden bit for this round, and
+    ``lam1``, ``lam2`` are the hidden unit vectors.  This is the batch
+    kernel called on one round.
     """
     _check_bit("box_bit", box_bit)
-    lams = np.asarray([lam1, lam2], dtype=float).reshape(2, 1, 3)
+    lams = np.stack([as_unit_vector(lam1), as_unit_vector(lam2)]).reshape(2, 1, 3)
     A, B = _sign_products(as_unit_vector(a), as_unit_vector(b), *lams, np.array([box_bit], bool))
     return int(A[0]), int(B[0])
 

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from nonlocality_lab import cli, entangled_ops
 from nonlocality_lab.cli import main
+from nonlocality_lab.crypto_bell import _SCAN_BLOCK_CELLS, RegionScan, region_scan, scan_to_csv
 from nonlocality_lab.entangled_ops import MAX_DIM
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -372,6 +374,62 @@ def test_json_output_is_strict(capsys, argv):
 
 
 SINGULAR = ["--alpha", repr(math.pi / 6), "--tau", repr(math.pi / 2)]
+
+
+
+def materialized_scan(n_alpha, n_tau, out):
+    """Exit code, stdout and stderr of ``crypto scan`` rebuilt from the full
+    ``region_scan``, whose CSV it writes to ``out``."""
+    scan = region_scan(n_alpha, n_tau)
+    scan_to_csv(scan, str(out))
+    counts = scan.class_counts().tolist()
+    peak = scan.peak()
+    lines = [f"wrote {len(scan)} cells to {out}"]
+    lines += [f"  {cls.value}: {count}" for cls, count in zip(RegionScan.CLASSES, counts)]
+    lines.append(f"max |f| = {abs(peak.f):.6f} at alpha = {peak.alpha:.6f}, tau = {peak.tau:.6f}")
+    empty = " or ".join(cls.value for cls, count in zip(RegionScan.CLASSES, counts) if not count)
+    err = f"nonlocality-lab: scan has no {empty} cells\n" if empty else ""
+    return 1 if empty else 0, "\n".join(lines) + "\n", err
+
+
+class TestStreamedScan:
+    """``crypto scan`` streams blocks of alpha rows; it must print and write
+    what the full ``region_scan`` gives, and hold one block at a time."""
+
+    @pytest.mark.parametrize(
+        "n_alpha, n_tau",
+        [
+            (200, 200),
+            (40, 1000),
+            (1000, 40),
+            (20, 30),
+            (2, 2),  # empty classes, exit 1
+            (3, _SCAN_BLOCK_CELLS + 164),  # a row longer than one block
+            (2 * (_SCAN_BLOCK_CELLS // 7) + 1, 7),  # n_tau not dividing the block
+        ],
+    )
+    def test_streamed_equals_materialized(self, capsys, tmp_path, n_alpha, n_tau):
+        want_code, want_out, want_err = materialized_scan(n_alpha, n_tau, tmp_path / "whole.csv")
+        out_path = tmp_path / "stream.csv"
+        code = main(["crypto", "scan", "--grid", f"{n_alpha}x{n_tau}", "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == want_code
+        assert captured.out == want_out.replace("whole.csv", "stream.csv")
+        assert captured.err == want_err
+        assert out_path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    @pytest.mark.parametrize("grid", ["200x200", "1000x1000"])
+    def test_memory_bounded_in_grid(self, capsys, tmp_path, grid):
+        # the whole 1000x1000 grid held at once took about 85 MiB; the scan
+        # holds one block of alpha rows and O(n_alpha + n_tau) besides
+        tracemalloc.start()
+        try:
+            code = main(["crypto", "scan", "--grid", grid, "--out", str(tmp_path / "s.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nonlocality_lab import crypto_bell
-from nonlocality_lab.correlations import classify_chsh
+from nonlocality_lab.correlations import chsh_class_codes, classify_chsh
 from nonlocality_lab.crypto_bell import (
     _SCAN_BLOCK_CELLS,
     ConditionalChsh,
@@ -21,7 +21,9 @@ from nonlocality_lab.crypto_bell import (
     _arc_average,
     _family_chsh,
     _outcome_bits,
+    _region_blocks,
     _rotated_family,
+    _ScanTally,
     _tau_integral,
     chi_functions,
     closed_form_chsh,
@@ -1268,3 +1270,83 @@ class TestRegionScan:
         assert [RegionScan.CLASSES[code] for code in codes] == [
             classify_chsh(f) for f in scan.f.ravel().tolist()
         ]
+
+
+def peak_oracle(scan):
+    """The peak rule on the whole grid at once: the (i, j) of the first cell,
+    in row-major order, within 1e-12 of the largest |f|."""
+    abs_f = np.abs(scan.f)
+    flat = int(np.argmax(abs_f >= abs_f.max() - 1e-12))
+    return np.unravel_index(flat, abs_f.shape)
+
+
+def tally_of(blocks):
+    tally = _ScanTally()
+    for block in blocks:
+        assert tally.add(block) is block
+    return tally
+
+
+def planted_scan():
+    """A 6 x 5 grid whose near-ties straddle rows: the running maximum rises
+    by less than 1e-12 twice after the cell the rule picks, (2, 0)."""
+    f = np.random.default_rng(7).uniform(-3.5, 3.5, size=(6, 5))
+    top = 3.9
+    f[1, 3] = top - 0.9e-12  # within 1e-12 of the running maximum, not of the final one
+    f[2, 0] = -(top - 0.2e-12)  # the peak: |f| counts
+    f[2, 4] = top - 0.2e-12  # ties the peak later in its row
+    f[3, 4] = top
+    f[4, 1] = top + 0.5e-12  # the largest |f|
+    f[5, 2] = -(top + 0.5e-12)  # ties the largest later
+    alphas, taus = np.arange(6.0), np.arange(5.0)
+    e = np.zeros((6, 4, 5))
+    return RegionScan(alphas, taus, e, f, chsh_class_codes(f))
+
+
+class TestScanStream:
+    @pytest.mark.parametrize("n_alpha, n_tau", [(200, 200), (40, 1000), (1000, 40), *BLOCK_SHAPES])
+    def test_blocks_are_whole_rows_of_bounded_size(self, n_alpha, n_tau):
+        blocks = list(_region_blocks(n_alpha, n_tau))
+        rows = [block.alphas.size for block in blocks]
+        assert sum(rows) == n_alpha
+        assert all(size == max(1, _SCAN_BLOCK_CELLS // n_tau) for size in rows[:-1])
+        assert all(len(block) <= max(_SCAN_BLOCK_CELLS, n_tau) for block in blocks)
+        assert all(block.taus is blocks[0].taus for block in blocks)
+
+    def test_grid_checked_before_the_first_block(self):
+        with pytest.raises(ValueError):
+            _region_blocks(1, 10)
+
+    def test_planted_grid_peak(self):
+        scan = planted_scan()
+        assert peak_oracle(scan) == (2, 0)
+        peak = scan.peak()
+        assert (peak.alpha, peak.tau, peak.f) == (2.0, 0.0, scan.f[2, 0])
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 6])
+    def test_fold_across_blocks_keeps_the_peak_rule(self, rows):
+        scan = planted_scan()
+        blocks = [
+            RegionScan(scan.alphas[i : i + rows], scan.taus, scan.e[i : i + rows],
+                       scan.f[i : i + rows], scan.codes[i : i + rows])
+            for i in range(0, 6, rows)
+        ]
+        tally = tally_of(blocks)
+        assert tally.peak() == scan.peak()
+        assert (tally.peak().alpha, tally.peak().tau) == (2.0, 0.0)
+        assert tally.cells == len(scan)
+        assert tally.counts.tolist() == scan.class_counts().tolist()
+
+    @pytest.mark.parametrize("block_cells", [1, 200, 450])
+    @pytest.mark.parametrize("n_alpha, n_tau", [(200, 200), (30, 30), (41, 7)])
+    def test_streamed_peak_equals_whole_grid_peak(self, monkeypatch, block_cells, n_alpha, n_tau):
+        # small blocks put the rise of the running maximum, and at 200x200
+        # the tau-mirror tie of row 131, in blocks of one or a few rows
+        scan = region_scan(n_alpha, n_tau)
+        monkeypatch.setattr(crypto_bell, "_SCAN_BLOCK_CELLS", block_cells)
+        tally = tally_of(_region_blocks(n_alpha, n_tau))
+        i, j = peak_oracle(scan)
+        assert tally.peak() == scan.peak()
+        assert (tally.peak().alpha, tally.peak().tau) == (scan.alphas[i], scan.taus[j])
+        assert tally.cells == len(scan)
+        assert tally.counts.tolist() == scan.class_counts().tolist()

@@ -597,6 +597,15 @@ class TestTheoremBound:
         with pytest.raises(ValueError):
             theorem_bound(0)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, np.True_, "2", None, np.float64(3.0)])
+    def test_n_is_a_whole_number(self, n):
+        with pytest.raises(ValueError, match="n must be a whole number >= 1"):
+            theorem_bound(n)
+
+    @pytest.mark.parametrize("n", [np.int64(4), np.int32(4), np.uint16(4)])
+    def test_numpy_integer_n(self, n):
+        assert theorem_bound(n) == theorem_bound(4)
+
     @pytest.mark.parametrize("a_norm_sq", (math.nan, math.inf, -math.inf, -1e-3))
     def test_rejects_bad_norm(self, a_norm_sq):
         with pytest.raises(ValueError, match="a_norm_sq"):

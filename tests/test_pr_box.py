@@ -1,6 +1,7 @@
 """Tests for the PR box and its one-bit hidden-variable model."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,21 @@ class TestHiddenTable:
     def test_prior_is_exactly_two_weights(self, prior):
         with pytest.raises(ValueError, match="prior"):
             pr_table_from_hidden(prior)
+
+    @pytest.mark.parametrize(
+        "prior",
+        [("0.5", "0.5"), (True, False), (np.True_, np.False_)],
+        ids=["str", "bool", "numpy-bool"],
+    )
+    def test_prior_weights_are_numbers(self, prior):
+        # the numeric-input rule: str and bool weights are not converted
+        message = f"prior must be two finite non-negative weights summing to 1, got {prior!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pr_table_from_hidden(prior)
+
+    def test_integer_and_numpy_weights(self):
+        assert pr_table_from_hidden((1, 0)) == pr_table_from_hidden((1.0, 0.0))
+        assert pr_table_from_hidden(np.array([0.5, 0.5])) == pr_ideal_table()
 
 
 class TestChsh:

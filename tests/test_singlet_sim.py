@@ -113,13 +113,17 @@ def serial_full_sphere(a, b, n, seed):
     return estimate.e_hat, estimate.stderr
 
 
+def unit_rows(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
 def random_rounds(rng, n):
-    """Unit settings and unnormalized hidden vectors, with every fourth
-    round a tie lam2 = +-lam1."""
+    """Unit settings and hidden vectors, with every fourth round a tie
+    lam2 = +-lam1."""
     a = rng.normal(size=3)
     b = rng.normal(size=3)
-    lam1 = rng.normal(size=(n, 3))
-    lam2 = rng.normal(size=(n, 3))
+    lam1 = unit_rows(rng.normal(size=(n, 3)))
+    lam2 = unit_rows(rng.normal(size=(n, 3)))
     lam2[::4] = lam1[::4]
     lam2[2::4] = -lam1[2::4]
     bits = rng.random(n) < 0.5
@@ -127,14 +131,17 @@ def random_rounds(rng, n):
 
 
 def zero_projection_rounds(rng, n):
-    """Settings a = x, b = z and hidden vectors whose projections vanish
-    exactly: b.lam+ in every round (lam+ != 0), a.lam1 or a.lam2 in two
-    rounds out of three."""
+    """Settings a = x, b = z and unit hidden vectors whose projections
+    vanish exactly: b.lam+ in every round (lam+ != 0), a.lam1 or a.lam2 in
+    two rounds out of three."""
     lam1 = rng.normal(size=(n, 3))
-    lam2 = rng.normal(size=(n, 3))
-    lam2[:, 2] = -lam1[:, 2]
     lam1[::3, 0] = 0.0
+    lam1 = unit_rows(lam1)
+    lam2 = rng.normal(size=(n, 3))
     lam2[1::3, 0] = 0.0
+    lam2[:, 2] = 0.0
+    lam2 = unit_rows(lam2) * np.sqrt(1.0 - lam1[:, 2:] ** 2)
+    lam2[:, 2] = -lam1[:, 2]
     return X, Z, lam1, lam2, rng.random(n) < 0.5
 
 
@@ -250,11 +257,26 @@ class TestSingletRound:
         with pytest.raises(ValueError):
             singlet_round(Z, Z, Z, Z, 2)
 
+    @pytest.mark.parametrize(
+        "lam1, lam2",
+        [
+            (["1", "0", "0"], [True, False, False]),
+            (Z, [True, False, False]),
+            (["1", "0", "0"], Z),
+            ([5, 0, 0], [0, 0, -7]),
+            (Z, [0, 0, -7]),
+        ],
+        ids=["str-and-bool", "bool", "str", "non-unit", "one-non-unit"],
+    )
+    def test_rejects_malformed_hidden_vectors(self, lam1, lam2):
+        with pytest.raises(ValueError):
+            singlet_round(Z, Z, lam1, lam2, 0)
+
     def test_outputs_are_bits(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            lam1 = rng.normal(size=3)
-            lam2 = rng.normal(size=3)
+            lam1 = unit_rows(rng.normal(size=3))
+            lam2 = unit_rows(rng.normal(size=3))
             a = rng.normal(size=3)
             a /= np.linalg.norm(a)
             b = rng.normal(size=3)
@@ -276,8 +298,8 @@ class TestSingletRound:
         # input y is unchanged, so B moves by exactly the correction bit
         rng = np.random.default_rng(3)
         for _ in range(20):
-            lam1 = rng.normal(size=3)
-            lam2 = rng.normal(size=3)
+            lam1 = unit_rows(rng.normal(size=3))
+            lam2 = unit_rows(rng.normal(size=3))
             a = rng.normal(size=3)
             a /= np.linalg.norm(a)
             b = rng.normal(size=3)
@@ -292,8 +314,8 @@ class TestSingletRound:
         # a = b gives sign product -1 in every round, whatever the hidden state
         rng = np.random.default_rng(4)
         for _ in range(50):
-            lam1 = rng.normal(size=3)
-            lam2 = rng.normal(size=3)
+            lam1 = unit_rows(rng.normal(size=3))
+            lam2 = unit_rows(rng.normal(size=3))
             a = rng.normal(size=3)
             a /= np.linalg.norm(a)
             A, B = singlet_round(a, a, lam1, lam2, int(rng.integers(0, 2)))
