@@ -38,6 +38,7 @@ print(f"  max |<A>_tau| over 1000 random (direction, tau): {worst:.2e}")
 
 print()
 print("Conditional CHSH at a few points (exact arc integration):")
+# a point runs the scan's kernel path on one cell: at a scan cell's center it equals that cell
 for alpha, tau in ((PI / 4, 0.0), (PI / 8, 1.0), (PI / 6, PI / 2 - 0.01),
                    (PI / 6, PI / 2 - 0.001)):
     cell = conditional_chsh(alpha, tau)

@@ -31,15 +31,15 @@ from nonlocality_lab import (
 rng = np.random.default_rng(11)
 
 print("The canonical maximally entangled state at N = 3:")
-state = make_schmidt_state(3)
-print(f"  amplitudes: {np.round(state.amplitudes.real, 4)}")
+psi = make_schmidt_state(3)  # the amplitude vector over |v_j> (x) |w_k>
+print(f"  amplitudes: {np.round(psi.real, 4)}")
 
 print()
 print("A left-side action equals a right-side transpose on this state:")
 x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
 x = (x + x.conj().T) / 2
-lhs = np.kron(x, np.eye(3)) @ state.amplitudes
-rhs = np.kron(np.eye(3), transpose_partner(x)) @ state.amplitudes
+lhs = np.kron(x, np.eye(3)) @ psi
+rhs = np.kron(np.eye(3), transpose_partner(x)) @ psi
 print(f"  residual ||(X x I)psi - (I x X^T)psi|| = {np.max(np.abs(lhs - rhs)):.2e}")
 
 print()
@@ -65,9 +65,9 @@ coords = coords_from_observable(decomp.operators[0])
 split = kernel_split(decomp.operators[0])
 print(f"  support Pauli vector: {np.round(split.pauli_vector, 6)}"
       f" (length {np.linalg.norm(split.pauli_vector):.12f})")
-part = curve_partition(coords, 8)
-spacing = (part.nodes[:-1] * part.nodes[1:]).sum(axis=1)
-print(f"  endpoint residual ||a_n + a_0|| = {np.max(np.abs(part.nodes[-1] + coords)):.2e}")
+nodes = curve_partition(coords, 8)  # rows a_0 = a, ..., a_8 = -a
+spacing = (nodes[:-1] * nodes[1:]).sum(axis=1)
+print(f"  endpoint residual ||a_n + a_0|| = {np.max(np.abs(nodes[-1] + coords)):.2e}")
 print(f"  consecutive dots (should all equal ||a||^2 cos(pi/8)):"
       f" spread {spacing.max() - spacing.min():.2e}")
 

@@ -83,15 +83,27 @@ def _check_bit(name: str, value: int) -> int:
     return int(value)
 
 
+def _holds_bool(value) -> bool:
+    """Whether list or tuple input holds a bool, numpy bool or bool array at any depth."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool) or getattr(value, "dtype", None) == bool
+
+
 def _numeric_array(value, dtype: type = float) -> np.ndarray:
     """``value`` as an array of ``dtype``, float or complex.  str, bool and
-    object input, and complex input for a float array, raise ``ValueError``
-    instead of being converted."""
+    object input, a bool among the numbers of list or tuple input, and
+    complex input for a float array raise ``ValueError`` instead of being
+    converted.  Only list and tuple input is searched for bools."""
     arr = np.asarray(value)
     if arr.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
-        kinds = "int, float or complex" if dtype is complex else "int or float"
-        raise ValueError(f"expected {kinds} values, got dtype {arr.dtype}")
-    return arr.astype(dtype, copy=False)
+        problem = f"dtype {arr.dtype}"
+    elif isinstance(value, (list, tuple)) and _holds_bool(value):
+        problem = "a bool element"
+    else:
+        return arr.astype(dtype, copy=False)
+    kinds = "int, float or complex" if dtype is complex else "int or float"
+    raise ValueError(f"expected {kinds} values, got {problem}")
 
 
 class BoxTable:

@@ -38,7 +38,9 @@ scan`` streams them: ``scan_to_csv`` writes each block row by row while a
 ``_ScanTally`` adds up its classes and peak candidates, and the block is
 dropped before the next is computed, so the scan holds the n_alpha rotated
 pairs, the n_tau centers and one block, whatever the grid.  ``region_scan``
-joins the same blocks into one ``RegionScan`` of the whole grid.
+joins the same blocks into one ``RegionScan`` of the whole grid, and
+``conditional_chsh`` is one 1 x 1 block.  ``RegionScan.cell`` builds every
+``ConditionalChsh``, so a point equals its scan cell bit for bit.
 
 The tau averages are EXACT as well: a pair averages to s_1 s_2 (1 -
 |t_1 - t_2|) on the circle tau, where each root offset t has the closed
@@ -61,7 +63,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .correlations import NonlocalityClass, _numeric_array, chsh_class_codes, chsh_sum, classify_chsh
+from ._rng import _whole_number
+from .correlations import NonlocalityClass, _numeric_array, chsh_class_codes, chsh_sum
 from .singlet_sim import SphereSampler, _chunked_estimate, _stream_at, as_unit_vector
 
 __all__ = [
@@ -232,7 +235,6 @@ def mc_joint_correlation(a, b, n: int, seed: int) -> tuple[float, float]:
 class FourDirectionFamily:
     """CHSH settings in the (x, z)-plane, tilted by alpha in [0, pi/4]."""
 
-    alpha: float | np.ndarray
     a: np.ndarray
     a_prime: np.ndarray
     b: np.ndarray
@@ -256,7 +258,7 @@ def four_directions(alpha) -> FourDirectionFamily:
         raise ValueError(f"alpha must lie in [0, pi/4], got {alpha}")
     theta = np.multiply.outer(angles, [1.0, -3.0, -1.0, 3.0])  # polar angles of a, a', b, b'
     vectors = np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=-1)
-    return FourDirectionFamily(alpha, *np.moveaxis(vectors, -2, 0))
+    return FourDirectionFamily(*np.moveaxis(vectors, -2, 0))
 
 
 def gamma_functions(alpha) -> np.ndarray:
@@ -342,10 +344,12 @@ def _family_chsh(pairs: np.ndarray, taus) -> tuple[np.ndarray, np.ndarray]:
 
 
 def conditional_chsh(alpha: float, tau: float) -> ConditionalChsh:
-    """Exact-arc conditional correlations and CHSH value at (alpha, tau)."""
-    e, f = _family_chsh(_rotated_family(alpha), [tau])
-    f = float(f[0])
-    return ConditionalChsh(alpha, tau, *e[:, 0].tolist(), f, classify_chsh(f))
+    """Exact-arc conditional correlations and CHSH value at (alpha, tau):
+    the cell of a 1 x 1 block, from the kernel calls of ``_region_blocks``,
+    which also check alpha and tau."""
+    e, f = _family_chsh(_rotated_family([alpha]), [tau])
+    block = RegionScan(np.array([alpha], float), np.array([tau], float), e, f, chsh_class_codes(f))
+    return block.cell(0, 0)
 
 
 def closed_form_correlations(alpha, tau) -> np.ndarray:
@@ -378,18 +382,13 @@ class ClosedFormComparison:
     normalized_max_dev: float
     singular: bool
 
+    #: The matching variant for each (printed matches, normalized matches).
+    _VARIANTS = {(True, False): "printed", (False, True): "normalized", (True, True): "both"}
+
     @property
     def matching_variant(self) -> str | None:
         """Which variant reproduces the exact values (1e-9 per correlation)."""
-        printed_ok = self.printed_max_dev <= 1e-9
-        normalized_ok = self.normalized_max_dev <= 1e-9
-        if printed_ok and not normalized_ok:
-            return "printed"
-        if normalized_ok and not printed_ok:
-            return "normalized"
-        if printed_ok and normalized_ok:
-            return "both"
-        return None
+        return self._VARIANTS.get((self.printed_max_dev <= 1e-9, self.normalized_max_dev <= 1e-9))
 
 
 def closed_form_chsh(alpha: float, tau: float) -> ClosedFormComparison:
@@ -490,8 +489,10 @@ class RegionScan:
     ``alphas`` (n_alpha,) and ``taus`` (n_tau,) are the cell centers, ``e``
     (n_alpha, 4, n_tau) the four correlations in CHSH order, ``f`` and
     ``codes`` (n_alpha, n_tau) the CHSH values and their classes as indices
-    into ``CLASSES``.  ``len()`` is the cell count; iterating yields one
-    ``ConditionalChsh`` per cell in row-major order.
+    into ``CLASSES``.  ``len()`` is the cell count.  ``cell(i, j)`` is the one
+    place a ``ConditionalChsh`` is built: iterating yields one per cell in
+    row-major order, the streamed peak and ``conditional_chsh`` (a 1 x 1
+    block) take theirs from it.
     """
 
     CLASSES = tuple(NonlocalityClass)
@@ -506,12 +507,17 @@ class RegionScan:
         return self.f.size
 
     def __iter__(self):
-        taus = self.taus.tolist()
-        for alpha, e_row, f_row, code_row in zip(
-            self.alphas.tolist(), self.e, self.f.tolist(), self.codes.tolist()
-        ):
-            for tau, e_tau, f_tau, code in zip(taus, e_row.T.tolist(), f_row, code_row):
-                yield ConditionalChsh(alpha, tau, *e_tau, f_tau, self.CLASSES[code])
+        return (self.cell(i, j) for i, j in np.ndindex(self.f.shape))
+
+    def cell(self, i: int, j: int) -> ConditionalChsh:
+        """The cell at alpha row i and tau column j, as Python floats."""
+        return ConditionalChsh(
+            float(self.alphas[i]),
+            float(self.taus[j]),
+            *self.e[i, :, j].tolist(),
+            float(self.f[i, j]),
+            self.CLASSES[self.codes[i, j]],
+        )
 
     def class_counts(self) -> np.ndarray:
         """Cells per class, in ``CLASSES`` order."""
@@ -560,15 +566,7 @@ class _ScanTally:
             for k in np.flatnonzero(abs_f >= floor).tolist():
                 if abs_f[k] > record:
                     record = float(abs_f[k])
-                    i, j = divmod(k, block.f.shape[1])
-                    cell = ConditionalChsh(
-                        float(block.alphas[i]),
-                        float(block.taus[j]),
-                        *block.e[i, :, j].tolist(),
-                        float(block.f[i, j]),
-                        block.CLASSES[block.codes[i, j]],
-                    )
-                    self._kept.append((record, cell))
+                    self._kept.append((record, block.cell(*divmod(k, block.f.shape[1]))))
             self._top = block_top
         return block
 
@@ -586,8 +584,7 @@ def _region_blocks(n_alpha: int, n_tau: int):
     the first block, so past that only the n_alpha rotated pairs and the
     current block are held.
     """
-    if n_alpha < 2 or n_tau < 2:
-        raise ValueError("grid dimensions must be >= 2")
+    n_alpha, n_tau = (_whole_number("grid dimensions", n, 2) for n in (n_alpha, n_tau))
     alphas = (np.arange(n_alpha) + 0.5) * (math.pi / 4.0) / n_alpha
     taus = (np.arange(n_tau) + 0.5) * math.pi / n_tau
     pairs = _rotated_family(alphas)

@@ -26,17 +26,16 @@ arrays.  ``verification_report`` draws its random trials as such stacks,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from ._rng import substream
+from ._rng import _whole_number, substream
 from .correlations import _numeric_array
 from .singlet_sim import as_unit_vector
 
 __all__ = [
-    "SchmidtState",
     "make_schmidt_state",
     "transpose_partner",
     "observable_from_coords",
@@ -49,7 +48,6 @@ __all__ = [
     "KernelSplit",
     "kernel_split",
     "curve_point",
-    "CurvePartition",
     "curve_partition",
     "theorem_bound",
     "malus_law",
@@ -73,7 +71,7 @@ _SPECTRUM_ATOL = 1e-8
 
 
 def _check_dim(n: int) -> int:
-    if not 2 <= n <= MAX_DIM:
+    if not 2 <= _whole_number("dimension", n, None) <= MAX_DIM:
         raise ValueError(f"dimension must be in [2, {MAX_DIM}], got {n}")
     return n
 
@@ -113,25 +111,15 @@ def _check_coords(coords: np.ndarray) -> tuple[np.ndarray, int]:
     return arr, _check_dim(n)
 
 
-@dataclass(frozen=True)
-class SchmidtState:
-    """Maximally entangled state of two N-level systems.
-
-    ``amplitudes`` is the length-N^2 vector over the product basis
-    |v_j> (x) |w_k> in row-major order; all Schmidt coefficients equal
-    1/sqrt(N).
-    """
-
-    n: int
-    amplitudes: np.ndarray = field(repr=False)
-
-
-def make_schmidt_state(n: int) -> SchmidtState:
-    """The canonical maximally entangled state (1/sqrt(N)) sum_j |v_j w_j>."""
-    _check_dim(n)
+def make_schmidt_state(n: int) -> np.ndarray:
+    """The canonical maximally entangled state (1/sqrt(N)) sum_j |v_j w_j> of
+    two N-level systems, as a fresh length-N^2 complex amplitude vector over
+    the product basis |v_j> (x) |w_k> in row-major order.  ``n`` is a whole
+    number in [2, ``MAX_DIM``]."""
+    n = _check_dim(n)
     amp = np.zeros(n * n, dtype=complex)
     amp[:: n + 1] = 1.0 / math.sqrt(n)
-    return SchmidtState(n=n, amplitudes=amp)
+    return amp
 
 
 def transpose_partner(matrix: np.ndarray) -> np.ndarray:
@@ -194,19 +182,16 @@ def coords_from_observable(matrix: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=MAX_DIM)
-def _state_vector(n: int) -> np.ndarray:
-    amp = make_schmidt_state(n).amplitudes
-    amp.flags.writeable = False
-    return amp
-
-
 def _state_matrix(n: int) -> np.ndarray:
-    """The amplitudes as the N x N matrix Psi, with psi = vec(Psi) row-major.
+    """The amplitudes as the N x N matrix Psi, with psi = vec(Psi) row-major,
+    read-only and cached per N.
 
     Then (A (x) B) psi = vec(A Psi B^T), so <psi| A (x) B |psi> is the
     Frobenius product of Psi with A Psi B^T: O(N^3), no N^2 x N^2 matrix.
     """
-    return _state_vector(n).reshape(n, n)
+    psi = make_schmidt_state(n).reshape(n, n)
+    psi.flags.writeable = False
+    return psi
 
 
 def _state_overlap(psi: np.ndarray, image: np.ndarray) -> np.ndarray:
@@ -394,27 +379,16 @@ def curve_point(a_coords: np.ndarray, theta: float) -> np.ndarray:
     return _curve_nodes(a_coords, np.array([theta]))[0]
 
 
-@dataclass(frozen=True)
-class CurvePartition:
-    """Nodes a_j = a(j*pi/n) of the curve, j = 0..n.
+def curve_partition(a_coords: np.ndarray, n: int) -> np.ndarray:
+    """Uniform n-step partition of the curve from a to -a: the nodes
+    a_j = a(j*pi/n), j = 0..n, as the rows of an (n + 1, N^2) array.
 
     Consecutive nodes satisfy a_{j+1} . a_j = ||a||^2 cos(pi/n); the first
-    node is a, the last -a.
+    node is a, the last -a.  ``n`` is a whole number >= 1.  One kernel split
+    and one generator serve all n + 1 nodes, which are rotated as one stack.
     """
-
-    n: int
-    nodes: np.ndarray
-
-
-def curve_partition(a_coords: np.ndarray, n: int) -> CurvePartition:
-    """Uniform n-step partition of the curve from a to -a.
-
-    One kernel split and one generator serve all n + 1 nodes, which are
-    rotated as one stack.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return CurvePartition(n=n, nodes=_curve_nodes(a_coords, np.arange(n + 1) * math.pi / n))
+    n = _whole_number("n", n, 1)
+    return _curve_nodes(a_coords, np.arange(n + 1) * math.pi / n)
 
 
 def theorem_bound(n: int, a_norm_sq: float = 1.0, dim: int = 2) -> float:
@@ -423,13 +397,11 @@ def theorem_bound(n: int, a_norm_sq: float = 1.0, dim: int = 2) -> float:
     Bounds the tau-integrated |conditional single-party average| of any
     quantum-equivalent crypto-nonlocal model; it decreases strictly for
     n >= 2 and vanishes as n -> infinity, forcing the average to zero.
-    ``n`` is a whole number of partition steps: a Python or numpy integer,
-    not a bool or a float.
+    ``n`` and ``dim`` are whole numbers: Python or numpy integers, not bools
+    or floats.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a whole number >= 1, got {n!r}")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    n = _whole_number("n", n, 1)
+    dim = _whole_number("dim", dim, 1)
     if not (math.isfinite(a_norm_sq) and a_norm_sq >= 0.0):
         raise ValueError(f"a_norm_sq must be finite and >= 0, got {a_norm_sq}")
     return (2.0 * n * a_norm_sq / dim) * math.sin(math.pi / (2.0 * n)) ** 2
@@ -546,12 +518,12 @@ def _trial_residuals(res: dict[str, float], n: int, m: int, streams: dict) -> No
 
 
 def _curve_residuals(res: dict[str, float], coords: np.ndarray) -> None:
-    part = curve_partition(coords, n=8)
-    nodes = part.nodes
+    steps = 8
+    nodes = curve_partition(coords, steps)
     norm_sq = float(coords @ coords)
     res["curve_endpoint"] = float(np.max(np.abs(nodes[-1] + coords)))
     res["curve_norm"] = float(np.max(np.abs((nodes**2).sum(axis=1) - norm_sq)))
-    spacing = norm_sq * math.cos(math.pi / part.n)
+    spacing = norm_sq * math.cos(math.pi / steps)
     res["curve_spacing"] = float(np.max(np.abs((nodes[:-1] * nodes[1:]).sum(axis=1) - spacing)))
     # svd cannot take non-finite nodes; they fail the planarity check instead
     res["curve_planarity"] = (
@@ -580,10 +552,10 @@ def verification_report(
     Every complex matrix comes from one (2, N, N) block of normals, so no
     residual depends on the block size.
     """
-    if not 2 <= n_min <= n_max <= MAX_DIM:
+    n_min, n_max = _whole_number("n_min", n_min, 2), _whole_number("n_max", n_max, 2)
+    if not n_min <= n_max <= MAX_DIM:
         raise ValueError(f"need 2 <= n_min <= n_max <= {MAX_DIM}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _whole_number("trials", trials, 1)
     streams = {label: substream(seed, f"theorem-{label}") for label in ("x", "ab", "h", "omega")}
     dims: dict[int, dict[str, float]] = {}
     for n in range(n_min, n_max + 1):

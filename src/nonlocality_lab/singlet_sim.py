@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import substream
+from ._rng import _whole_number, substream
 from .correlations import _check_bit, _numeric_array
 from .pr_box import _hidden_outputs
 
@@ -179,9 +179,7 @@ def _chunked_estimate(n: int, open_rounds) -> SingletEstimate:
     mask of those with product -1.  Each segment opens its own rounds; an
     error in any segment is raised here once every thread has ended.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _whole_number("n", n, 1)
     chunks = -(-n // CHUNK_ROUNDS)
     segments = min(_usable_cpus(), MAX_SEGMENTS, chunks)
     bounds = [CHUNK_ROUNDS * (chunks * i // segments) for i in range(segments)] + [n]

@@ -27,6 +27,9 @@ DELETED = (
     "sgn",
     "operator_basis",
     "sign_of_bit",
+    "SchmidtState",
+    "CurvePartition",
+    "_state_vector",
 )
 
 

@@ -3,7 +3,7 @@ exact arcs, closed forms, tau averages and the region scan."""
 
 import csv
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from functools import lru_cache
 
 import numpy as np
@@ -711,7 +711,7 @@ class TestFourDirections:
         stacked = four_directions(alphas)
         for i, alpha in enumerate(alphas.tolist()):
             single = four_directions(alpha)
-            assert single.alpha == alpha and single.a.shape == (3,)
+            assert single.a.shape == (3,) and not hasattr(single, "alpha")
             for name in ("a", "a_prime", "b", "b_prime"):
                 assert getattr(stacked, name)[i].tobytes() == getattr(single, name).tobytes()
 
@@ -862,6 +862,22 @@ class TestClosedForms:
         comparison = closed_form_chsh(PI / 6, PI / 2)
         assert comparison.singular
         assert comparison.matching_variant is None
+
+    @pytest.mark.parametrize(
+        "printed_dev, normalized_dev, want",
+        [
+            (0.0, 1e-3, "printed"),
+            (1e-3, 1e-9, "normalized"),
+            (1e-9, 0.0, "both"),
+            (2e-9, 1e-3, None),
+            (math.inf, math.nan, None),
+        ],
+    )
+    def test_matching_variant_for_each_outcome(self, printed_dev, normalized_dev, want):
+        comparison = replace(
+            closed_form_chsh(0.5, 0.7), printed_max_dev=printed_dev, normalized_max_dev=normalized_dev
+        )
+        assert comparison.matching_variant == want
 
     def test_branches_agree_at_critical_alpha(self):
         alpha = critical_alpha()
@@ -1216,6 +1232,18 @@ class TestRegionScan:
             for got, want in zip(astuple(cell)[2:7], astuple(point)[2:7]):
                 assert got == pytest.approx(want, abs=1e-14)
             assert cell.nonlocality == point.nonlocality
+
+    @pytest.mark.parametrize("n_alpha, n_tau", [(200, 200), (40, 1000), (439, 7)])
+    def test_point_is_its_scan_cell(self, n_alpha, n_tau):
+        # conditional_chsh runs the scan's kernel calls on a 1 x 1 block
+        scan = region_scan(n_alpha, n_tau)
+        rng = np.random.default_rng(n_alpha * n_tau)
+        rows = rng.integers(n_alpha, size=40).tolist() + [0, n_alpha - 1]
+        columns = rng.integers(n_tau, size=40).tolist() + [0, n_tau - 1]
+        for i, j in zip(rows, columns):
+            cell = scan.cell(i, j)
+            assert conditional_chsh(scan.alphas[i], scan.taus[j]) == cell
+            assert all(type(value) is float for value in astuple(cell)[:7])
 
     def test_peak_is_first_largest_cell(self):
         scan = region_scan(30, 30)

@@ -62,7 +62,7 @@ def oracle_joint_expectation(a_coords, b_coords):
     basis, partners = _basis_stacks(n)
     a_op = sum(c * f for c, f in zip(a_coords, basis))
     b_op = sum(c * g for c, g in zip(b_coords, partners))
-    psi = make_schmidt_state(n).amplitudes.reshape(n, n)
+    psi = make_schmidt_state(n).reshape(n, n)
     return float(np.vdot(psi, a_op @ psi @ b_op.T).real)
 
 
@@ -138,26 +138,34 @@ def partial_trace_right(rho, n):
 
 class TestSchmidtState:
     def test_qubit_amplitudes(self):
-        state = make_schmidt_state(2)
         np.testing.assert_allclose(
-            state.amplitudes, np.array([1, 0, 0, 1]) / math.sqrt(2), atol=1e-15
+            make_schmidt_state(2), np.array([1, 0, 0, 1]) / math.sqrt(2), atol=1e-15
         )
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_normalized(self, n):
-        amp = make_schmidt_state(n).amplitudes
+        amp = make_schmidt_state(n)
         assert np.linalg.norm(amp) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_maximally_mixed_reduction(self, n):
-        amp = make_schmidt_state(n).amplitudes
+        amp = make_schmidt_state(n)
         rho = np.outer(amp, amp.conj())
         reduced = partial_trace_right(rho, n)
         np.testing.assert_allclose(reduced, np.eye(n) / n, atol=1e-12)
 
     def test_dimension_validation(self):
-        with pytest.raises(ValueError):
-            make_schmidt_state(1)
+        for n in (1, 17, 2.0, True):
+            with pytest.raises(ValueError, match="dimension"):
+                make_schmidt_state(n)
+
+    def test_fresh_writable_vector(self):
+        first, second = make_schmidt_state(3), make_schmidt_state(3)
+        assert first.shape == (9,) and first.flags.writeable
+        assert first is not second and not np.shares_memory(first, second)
+        first[0] = 7.0  # a caller's edit reaches neither later states nor the kernels
+        assert make_schmidt_state(3)[0] == second[0] == 1.0 / math.sqrt(3)
+        assert joint_expectation(np.eye(9)[0], np.eye(9)[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTransposePartner:
@@ -174,7 +182,7 @@ class TestTransposePartner:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_identity_on_state(self, n):
         rng = np.random.default_rng(n)
-        psi = make_schmidt_state(n).amplitudes
+        psi = make_schmidt_state(n)
         for _ in range(10):
             x = random_hermitian(n, rng)
             lhs = np.kron(x, np.eye(n)) @ psi
@@ -199,7 +207,7 @@ class TestOperatorBasis:
     @pytest.mark.parametrize("n", range(2, 6))
     def test_orthonormal_on_state(self, n):
         basis, partners = _basis_stacks(n)
-        psi = make_schmidt_state(n).amplitudes
+        psi = make_schmidt_state(n)
         for r in range(n * n):
             for s in range(n * n):
                 value = np.real(psi.conj() @ (np.kron(basis[r], partners[s]) @ psi))
@@ -260,7 +268,7 @@ class TestExpectations:
 
 def dense_expectation(op, n):
     """<psi| op |psi> with the full N^2 x N^2 operator (test oracle)."""
-    psi = make_schmidt_state(n).amplitudes
+    psi = make_schmidt_state(n)
     return float(np.real(psi.conj() @ (op @ psi)))
 
 
@@ -475,27 +483,35 @@ class TestCurvePartition:
     def test_single_step(self):
         rng = np.random.default_rng(46)
         coords = coords_from_observable(random_omega_observable(2, rng))
-        part = curve_partition(coords, 1)
-        assert part.nodes.shape == (2, 4)
-        np.testing.assert_allclose(part.nodes[0], coords, atol=1e-12)
-        np.testing.assert_allclose(part.nodes[1], -coords, atol=1e-10)
-        dot = float(part.nodes[0] @ part.nodes[1])
+        nodes = curve_partition(coords, 1)
+        assert nodes.shape == (2, 4)
+        np.testing.assert_allclose(nodes[0], coords, atol=1e-12)
+        np.testing.assert_allclose(nodes[1], -coords, atol=1e-10)
+        dot = float(nodes[0] @ nodes[1])
         assert dot == pytest.approx(-float(coords @ coords), abs=1e-10)
 
     def test_spacing_identity(self):
         rng = np.random.default_rng(47)
         coords = coords_from_observable(random_omega_observable(3, rng))
-        part = curve_partition(coords, 8)
+        nodes = curve_partition(coords, 8)
+        assert nodes.shape == (9, 9)  # (n + 1, N^2)
         norm = float(coords @ coords)
         assert norm == pytest.approx(2.0 / 3.0, abs=1e-12)  # = 2/N
         expected = norm * math.cos(math.pi / 8)
         for j in range(8):
-            dot = float(part.nodes[j] @ part.nodes[j + 1])
+            dot = float(nodes[j] @ nodes[j + 1])
             assert dot == pytest.approx(expected, abs=1e-10)
 
     def test_invalid_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n must be >= 1"):
             curve_partition(np.zeros(4), 0)
+
+    @pytest.mark.parametrize("n", [2.5, True, 2.0, "2"])
+    def test_count_is_a_whole_number(self, n):
+        # 2.5 once gave 4 nodes, the last 0.43 away from -a
+        coords = coords_from_observable(random_omega_observable(2, np.random.default_rng(46)))
+        with pytest.raises(ValueError, match="n must be a whole number >= 1"):
+            curve_partition(coords, n)
 
 
 STACK_DIMS = (2, 3, 6, 16)
@@ -572,8 +588,7 @@ class TestStackedMatchesOracle:
     def test_curve_partition_matches_per_node_oracle(self, n):
         rng = np.random.default_rng(100 + n)
         coords = coords_from_observable(random_omega_observable(n, rng))
-        part = curve_partition(coords, 8)
-        for j, node in enumerate(part.nodes):
+        for j, node in enumerate(curve_partition(coords, 8)):
             want = oracle_curve_point(coords, j * math.pi / 8)
             np.testing.assert_allclose(node, want, rtol=0, atol=1e-12)
             point = curve_point(coords, j * math.pi / 8)
@@ -711,9 +726,9 @@ class TestVerificationReport:
         partition = entangled_ops.curve_partition
 
         def broken(coords, n):
-            part = partition(coords, n)
-            part.nodes[3, 0] = bad
-            return part
+            nodes = partition(coords, n)
+            nodes[3, 0] = bad
+            return nodes
 
         monkeypatch.setattr(entangled_ops, "curve_partition", broken)
         report = verification_report(2, 3, trials=3)

@@ -330,7 +330,7 @@ class TestEstimator:
     @pytest.mark.parametrize("bad", [True, False, np.True_, 2.0, np.float64(5.0), "5", None, 0, -3])
     @pytest.mark.parametrize("estimator", [estimate_singlet_correlation, mc_joint_correlation])
     def test_malformed_round_count(self, estimator, bad):
-        with pytest.raises(ValueError, match="n must be a positive integer"):
+        with pytest.raises(ValueError, match=r"n must be (a whole number )?>= 1"):
             estimator(A_DIR, B_DIR, bad, 1)
 
     @pytest.mark.parametrize("n", [np.int64(5000), np.int32(5000), np.uint16(5000)])
