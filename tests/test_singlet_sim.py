@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nonlocality_lab import singlet_sim
-from nonlocality_lab._rng import substream
+from nonlocality_lab._rng import derive_seed, substream
 from nonlocality_lab.crypto_bell import _outcome_bits, mc_joint_correlation, rotated_settings
 from nonlocality_lab.pr_box import pr_hidden_outputs
 from nonlocality_lab.singlet_sim import (
@@ -70,6 +70,13 @@ def singlet_draws(seed, n):
     lam2 = SphereSampler(substream(seed, "singlet-lam2")).sample(n)
     bits = substream(seed, "pr-box-bit").random(n) < 0.5
     return lam1, lam2, bits
+
+
+def singlet_mean_stderr(a, b, n, seed):
+    """``estimate_singlet_correlation`` as the (mean, stderr) pair that
+    ``mc_joint_correlation`` returns."""
+    estimate = estimate_singlet_correlation(a, b, n, seed)
+    return estimate.e_hat, estimate.stderr
 
 
 def serial_chunked_estimate(n, disagree):
@@ -593,3 +600,37 @@ class TestSegments:
         with pytest.raises(RuntimeError, match="first segment failed"):
             estimate_singlet_correlation(A_DIR, B_DIR, 6 * CHUNK_ROUNDS, 3)
         assert threading.active_count() == baseline
+
+
+class TestPulls:
+    """Both estimators against -a.b over many settings, as a sample.
+
+    K direction pairs are drawn once from a named substream and each
+    estimator runs at n rounds per pair.  The pulls (e_hat - (-a.b)) / stderr
+    of an unbiased estimator with an honest stderr are close to independent
+    standard normals, so their mean lies within 4 / sqrt(K) of 0 and their
+    sum of squares within the two-sided 99.9 % band of chi^2(K).  A bias of
+    one sigma on every pair, or a stderr off by a constant factor, fails
+    here although each pair alone passes its 4 sigma check.  The seed was
+    chosen once; a failure is a finding, never a reason to re-seed.
+    """
+
+    K, N, SEED = 400, 20_000, 99
+    #: 0.05 % and 99.95 % quantiles of chi^2(400).
+    CHI2_LOW, CHI2_HIGH = 313.427, 499.666
+
+    def pulls(self, estimate):
+        directions = SphereSampler(substream(self.SEED, "test-pull-directions")).sample(2 * self.K)
+        pulls = []
+        for k, (a, b) in enumerate(directions.reshape(self.K, 2, 3)):
+            e_hat, stderr = estimate(a, b, self.N, derive_seed(self.SEED, f"test-pull-{k}"))
+            pulls.append((e_hat + float(a @ b)) / stderr)
+        return np.array(pulls)
+
+    @pytest.mark.parametrize(
+        "estimate", [singlet_mean_stderr, mc_joint_correlation], ids=["singlet", "crypto-mc"]
+    )
+    def test_pulls_are_standard_normal(self, estimate):
+        pulls = self.pulls(estimate)
+        assert abs(pulls.mean()) < 4.0 / math.sqrt(self.K)
+        assert self.CHI2_LOW < (pulls**2).sum() < self.CHI2_HIGH
