@@ -15,8 +15,10 @@ cells, or one longer row) and O(n_alpha + n_tau) besides, for any
 ``--grid``.  A ``crypto scan --out`` path that cannot be written is a
 usage error, found before the first block is computed: one line
 ``nonlocality-lab: error: cannot write <path>: <reason>`` goes to stderr.
-A scan with an empty class exits 1 and names it on stderr, and a failing
-``theorem`` identity exits 1 with its N and residual on stderr.
+Every verification failure exits 1 and is named on stderr: a ``singlet``
+pair with its index, gap and threshold, a ``crypto tau-average`` with its
+alpha, gap and tolerance, a scan's empty class, and a ``theorem`` identity
+with its N and residual.
 Each command prints its text report unless ``--json`` is given; then
 ``main`` writes the command's payload as strict JSON: a value with no
 finite result (the closed forms at their singular points, a non-finite
@@ -147,8 +149,15 @@ def _cmd_singlet(args: argparse.Namespace) -> tuple[dict, int]:
         estimate = estimate_singlet_correlation(a, b, args.n, pair_seed)
         reference = singlet_reference(a, b)
         threshold = max(0.01, 4.0 * estimate.stderr)
-        ok = abs(estimate.e_hat - reference) < threshold
+        gap = abs(estimate.e_hat - reference)
+        ok = gap < threshold  # False for NaN
         all_ok &= ok
+        if not ok:
+            print(
+                f"nonlocality-lab: singlet: pair {k}: gap {gap:.3e} is not below"
+                f" threshold {threshold:.3e}",
+                file=sys.stderr,
+            )
         records.append(
             {
                 "a": [float(v) for v in a],
@@ -241,6 +250,10 @@ def _cmd_crypto_scan(args: argparse.Namespace) -> tuple[None, int]:
     return None, 1 if empty else 0
 
 
+#: Largest gap between the tau-averaged F and the quantum oracle that passes.
+_TAU_AVERAGE_TOL = 1e-6
+
+
 def _cmd_crypto_tau_average(args: argparse.Namespace) -> tuple[None, int]:
     average = tau_average_chsh(args.alpha)
     reference = quantum_chsh_reference(args.alpha)
@@ -248,7 +261,14 @@ def _cmd_crypto_tau_average(args: argparse.Namespace) -> tuple[None, int]:
     print(f"tau-averaged F = {average:.6f}")
     print(f"quantum oracle = {reference:.6f}")
     print(f"|difference| = {gap:.3e}")
-    return None, 0 if gap <= 1e-6 else 1
+    ok = gap <= _TAU_AVERAGE_TOL  # False for NaN
+    if not ok:
+        print(
+            f"nonlocality-lab: tau-average: alpha = {args.alpha!r}: gap {gap:.3e}"
+            f" exceeds tolerance {_TAU_AVERAGE_TOL:.0e}",
+            file=sys.stderr,
+        )
+    return None, 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------

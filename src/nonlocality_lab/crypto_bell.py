@@ -65,7 +65,7 @@ import numpy as np
 
 from ._rng import _whole_number
 from .correlations import NonlocalityClass, _numeric_array, chsh_class_codes, chsh_sum
-from .singlet_sim import SphereSampler, _chunked_estimate, _stream_at, as_unit_vector
+from .singlet_sim import _chunked_estimate, _frame, _FrameSampler, as_unit_vector
 
 __all__ = [
     "RotatedPair",
@@ -138,14 +138,16 @@ def rotated_settings(a, b) -> RotatedPair:
     return RotatedPair(a_hat, b_hat, omega, omega_hat)
 
 
-def _outcome_bits(a_hat, b_hat, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _outcome_bits(a_lam, b_lam) -> tuple[np.ndarray, np.ndarray]:
     """Outcome bits (A, B), as boolean arrays, of the rotated pair (a_hat,
-    b_hat) at the hidden vectors of the (n, 3) stack ``lam``: A = sgn(a_hat .
-    lam) and B = -sgn(b_hat . lam), bit 1 for sign -1, so the product is -1
-    where A != B.  B depends on a through b_hat: the model is manifestly
-    nonlocal at this level.
+    b_hat) at hidden vectors with projections a_lam = a_hat . lam and b_lam =
+    b_hat . lam: A = sgn(a_hat . lam) and B = -sgn(b_hat . lam), bit 1 for
+    sign -1, so the product is -1 where A != B.  B depends on a through
+    b_hat: the model is manifestly nonlocal at this level.  Only the signs
+    are read, so ``mc_joint_correlation`` passes its frame coordinate z for
+    a_lam.
     """
-    return lam @ a_hat < 0.0, lam @ b_hat >= 0.0
+    return a_lam < 0.0, b_lam >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +208,19 @@ def crypto_local_average(a, tau: float) -> float:
 def mc_joint_correlation(a, b, n: int, seed: int) -> tuple[float, float]:
     """Full-sphere Monte Carlo of A*B; returns (mean, stderr).
 
-    Cross-check for the exact route: the mean must agree with -a.b.  Rounds
-    go through the singlet estimator's chunked counter, in bounded memory.
+    Cross-check for the exact route: the mean must agree with -a.b.  lam is
+    sampled in the frame of the rotated pair (a_hat, b_hat), as the singlet
+    estimator samples in the frame of (a, b), and the rounds go through its
+    chunked counter, in bounded memory.
     """
     pair = rotated_settings(a, b)
+    frame = _frame(pair.a_hat, pair.b_hat)
 
     def open_rounds(start: int, chunk: int):
-        skip = SphereSampler.DRAWS_PER_POINT * start
-        lam = SphereSampler(_stream_at(seed, "crypto-mc-lam", skip))
-        scratch = np.empty(SphereSampler.SCRATCH_PER_POINT * chunk)
+        lam = _FrameSampler(seed, "crypto-mc-lam", start, frame, chunk)
 
         def disagree(m: int) -> np.ndarray:
-            A, B = _outcome_bits(pair.a_hat, pair.b_hat, lam.sample(m, out=scratch))
+            A, B = _outcome_bits(*lam.project(m))
             return A != B
 
         return disagree

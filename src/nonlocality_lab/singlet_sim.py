@@ -15,6 +15,15 @@ cancels from it, since o_a xor o_b = x*y, but stays in the loop: the protocol
 uses the box once per round, and each outcome alone is a fair coin only
 through it.
 
+A round reads only signs of projections onto a and b, so the estimators
+draw each hidden vector in the orthonormal frame fixed by the settings:
+e3 = a and b = cos theta e3 + sin theta e1.  The uniform measure on the
+sphere is rotation-invariant, so this is the same distribution.  With the
+point at (x, y, z) in that frame, [a.lam] = [z] and b.lam = z cos theta +
+x sin theta, where x = sqrt(1 - z^2) cos phi: a round computes no sin phi,
+no y and no (n, 3) array.  The crypto model's full-sphere Monte Carlo
+samples the same way in the frame of its rotated pair.
+
 Estimators draw ``CHUNK_ROUNDS`` rounds at a time and keep one integer, the
 count of rounds with product -1, so memory does not grow with n.  The n
 rounds are split into contiguous segments on chunk boundaries, one per usable
@@ -22,11 +31,11 @@ CPU up to ``MAX_SEGMENTS``: the caller's thread counts the first, one thread
 each the others, and the counts are summed.  lam1, lam2 and the box bits
 each have a named substream, which drawn in pieces equals itself drawn at
 once, and a segment opens each stream at its first round by advancing the
-generator past the draws of the rounds before it.  Each segment also owns its scratch: the
-sampling buffers and box-bit arrays are allocated once when it opens its
-rounds, every chunk is drawn into them, and no thread touches another's.
-The count is an exact integer sum, so no result depends on the chunk size
-or the core count.
+generator past the draws of the rounds before it.  Each segment also owns
+its scratch: the frame samplers' buffers and the box-bit arrays are
+allocated once when it opens its rounds, every chunk is drawn into them,
+and no thread touches another's.  The count is an exact integer sum, so no
+result depends on the chunk size or the core count.
 """
 
 from __future__ import annotations
@@ -51,16 +60,16 @@ __all__ = [
 ]
 
 #: Rounds per chunk; no result depends on it.  A segment allocates scratch
-#: for one chunk when it opens (about 0.7 MB for the singlet at 8192), so a
-#: larger chunk buys fewer Python steps and GIL handoffs per round with
-#: memory per segment.  On two cores 8192 ran 19 % faster than 4096, while
-#: 16384 gained 4 % more for 8 % more peak RSS.
+#: for one chunk when it opens (for the singlet 9 doubles a round, about
+#: 0.6 MB at 8192), so a larger chunk buys fewer Python steps and GIL
+#: handoffs per round with memory per segment.  With world-frame sampling,
+#: 8192 ran 19 % faster than 4096 on two cores, while 16384 gained 4 % more
+#: for 8 % more peak RSS.
 CHUNK_ROUNDS = 1 << 13
 
 #: Most segments one estimate runs in.  Each segment holds its own scratch,
-#: so the cap bounds an estimate's memory on any host: uncapped, a 1e7-round
-#: estimate peaked at about 7.5 MB of traced memory on 8 segments and 49.5 MB
-#: on 64.
+#: so the cap bounds an estimate's memory on any host: a 1e7-round estimate
+#: peaks at about 5.1 MB of traced memory on 8 segments.
 MAX_SEGMENTS = 8
 
 
@@ -79,50 +88,86 @@ def as_unit_vector(v) -> np.ndarray:
 class SphereSampler:
     """Points uniform on the unit sphere, drawn from one generator.
 
-    Sampling contract: z uniform on [-1, 1) and azimuth uniform on
+    Sampling contract: z uniform on [-1, 1) and azimuth phi uniform on
     [-pi, pi), drawn as one (n, 2) block of doubles per call, so points
     drawn in pieces equal points drawn at once.  Each double takes one
     64-bit draw from the generator, so a point takes ``DRAWS_PER_POINT``
-    draws.  Pass a named ``substream``.
+    draws.  Pass a named ``substream``.  ``sample`` returns the points in
+    world coordinates, (r cos phi, r sin phi, z) with r = sqrt(1 - z^2);
+    the estimators read the same (z, phi) doubles through ``_FrameSampler``,
+    in the frame of their settings.
     """
 
     DRAWS_PER_POINT = 2
-    #: Doubles of scratch that ``sample`` uses per point.
-    SCRATCH_PER_POINT = 5
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
 
-    def sample(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Draw ``n`` points, returned as an (n, 3) array.
-
-        The points are the rows of ``flat[:3 * n].reshape(3, n).T``, an
-        F-ordered view of the scratch ``flat``: ``out`` when given, else a
-        fresh array.  ``out`` is a contiguous 1-D float64 array of at least
-        ``SCRATCH_PER_POINT * n`` doubles, and the call overwrites that many,
-        so the view it returns holds only until the next call with the same
-        ``out``.  Each estimator segment owns one buffer per sampler; a
-        buffer is never shared between threads.
-        """
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        flat = np.empty(self.SCRATCH_PER_POINT * n) if out is None else out
-        points = flat[: 3 * n].reshape(3, n)
-        x, y, z = points
-        u = self._rng.random(out=flat[3 * n : 5 * n].reshape(n, 2))  # rows of (z, azimuth / pi)
+    def _draw(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Fill the (n, 2) block ``u`` with the next n points' (z, phi / pi)
+        and return its two columns."""
+        self._rng.random(out=u)
         u *= 2.0
         u -= 1.0
-        np.multiply(u[:, 1], math.pi, out=y)  # the azimuth phi
-        np.cos(y, out=x)
-        np.sin(y, out=y)
-        z[:] = u[:, 0]
-        r = flat[3 * n : 4 * n]  # over u, which is spent
-        np.multiply(z, z, out=r)
-        np.subtract(1.0, r, out=r)
-        np.sqrt(r, out=r)
-        x *= r
-        y *= r
-        return points.T
+        return u[:, 0], u[:, 1]
+
+    def sample(self, n: int) -> np.ndarray:
+        """Draw ``n`` points, returned as an (n, 3) array."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        z, phi = self._draw(np.empty((n, 2)))
+        phi = phi * math.pi
+        r = np.sqrt(1.0 - z * z)
+        return np.array([r * np.cos(phi), r * np.sin(phi), z]).T
+
+
+def _frame(a, b) -> tuple[float, float]:
+    """(cos theta, sin theta) of ``b`` in the orthonormal frame where e3 =
+    a / |a| and b = cos theta e3 + sin theta e1 with sin theta >= 0.
+
+    cos theta = (a.b) / |a| and sin theta = |a x b| / |a|.  Neither goes
+    through sqrt(1 - cos^2 theta), which is NaN once |a.b| exceeds 1 within
+    the norm tolerance of ``as_unit_vector``, and the cross product is
+    exactly 0 at b = +-a, where e1 is arbitrary and drops out.
+    """
+    norm = math.sqrt(float(a @ a))
+    return float(a @ b) / norm, float(np.linalg.norm(np.cross(a, b))) / norm
+
+
+class _FrameSampler:
+    """The points of one named sphere substream, from point ``start`` on,
+    seen in the frame of a settings pair.
+
+    The uniform measure on the sphere does not change under rotation, so a
+    point with coordinates (x, y, z) in the frame (e1, e2, e3) of ``_frame``
+    is a uniform point too.  Its projections are a.lam = |a| z, whose sign
+    is that of z, and b.lam = z cos theta + x sin theta with x = r cos phi:
+    no sin phi, no y and no (n, 3) array.  The (z, phi) doubles are those of
+    ``SphereSampler``.  The scratch for ``chunk`` points is allocated here,
+    so each estimator segment owns its samplers and no thread shares one.
+    """
+
+    def __init__(self, seed: int, label: str, start: int, frame: tuple[float, float], chunk: int):
+        rng = _stream_at(seed, label, SphereSampler.DRAWS_PER_POINT * start)
+        self._sphere = SphereSampler(rng)
+        self._cos, self._sin = frame
+        self._u, self._x, self._b = np.empty((chunk, 2)), np.empty(chunk), np.empty(chunk)
+
+    def project(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """(z, b.lam) of the next m <= chunk points, views of the scratch
+        that hold until the next call."""
+        z, phi = self._sphere._draw(self._u[:m])
+        x, b_lam = self._x[:m], self._b[:m]
+        np.multiply(phi, math.pi, out=x)
+        np.cos(x, out=x)
+        np.multiply(z, z, out=b_lam)
+        np.subtract(1.0, b_lam, out=b_lam)
+        np.sqrt(b_lam, out=b_lam)
+        x *= b_lam  # r cos(phi)
+        x *= self._sin
+        np.multiply(z, self._cos, out=b_lam)
+        b_lam += x
+        return z, b_lam
 
 
 def singlet_round(a, b, lam1, lam2, box_bit: int) -> tuple[int, int]:
@@ -130,11 +175,13 @@ def singlet_round(a, b, lam1, lam2, box_bit: int) -> tuple[int, int]:
 
     ``box_bit`` is the PR box's internal hidden bit for this round, and
     ``lam1``, ``lam2`` are the hidden unit vectors.  This is the batch
-    kernel called on one round.
+    kernel called on one round, with its projections taken by dot products.
     """
     _check_bit("box_bit", box_bit)
-    lams = np.stack([as_unit_vector(lam1), as_unit_vector(lam2)]).reshape(2, 1, 3)
-    A, B = _sign_products(as_unit_vector(a), as_unit_vector(b), *lams, np.array([box_bit], bool))
+    settings = np.stack([as_unit_vector(a), as_unit_vector(b)])
+    lams = np.stack([as_unit_vector(lam1), as_unit_vector(lam2)])
+    (a1, a2), (b1, b2) = (settings @ lams.T)[..., None]
+    A, B = _sign_products(a1, a2, b1, b2, np.array([box_bit], bool))
     return int(A[0]), int(B[0])
 
 
@@ -144,13 +191,16 @@ class SingletEstimate:
     stderr: float
 
 
-def _sign_products(a, b, lam1: np.ndarray, lam2: np.ndarray, bits: np.ndarray):
-    """Outcome bits (A, B), as boolean arrays, of the rounds with hidden
-    vectors lam1[i], lam2[i] and box bit bits[i]; product -1 where A != B."""
-    s1 = lam1 @ a >= 0.0
-    s2 = lam2 @ a >= 0.0
-    sp = (lam1 + lam2) @ b >= 0.0
-    sm = (lam1 - lam2) @ b >= 0.0
+def _sign_products(a1, a2, b1, b2, bits: np.ndarray):
+    """Outcome bits (A, B), as boolean arrays, of the rounds with projections
+    a.lam1 = a1[i], a.lam2 = a2[i], b.lam1 = b1[i], b.lam2 = b2[i] and box bit
+    bits[i]; product -1 where A != B.  b.lam+- is b1 +- b2.  Only the signs
+    of a1 and a2 are read, so the estimators pass the frame coordinate z for
+    them, and ``singlet_round`` passes dot products."""
+    s1 = a1 >= 0.0
+    s2 = a2 >= 0.0
+    sp = b1 + b2 >= 0.0
+    sm = b1 - b2 >= 0.0
     o_a, o_b = _hidden_outputs(s1 != s2, sp != sm, bits)
     return o_a ^ s1, o_b ^ ~sp
 
@@ -222,22 +272,19 @@ def estimate_singlet_correlation(a, b, n: int, seed: int) -> SingletEstimate:
     standard deviation / sqrt(n); 0.0 for the degenerate n = 1).  The result
     is bit-identical for identical (a, b, n, seed).
     """
-    a = as_unit_vector(a)
-    b = as_unit_vector(b)
+    frame = _frame(as_unit_vector(a), as_unit_vector(b))
 
     def open_rounds(start: int, chunk: int):
-        skip = SphereSampler.DRAWS_PER_POINT * start
-        lam1 = SphereSampler(_stream_at(seed, "singlet-lam1", skip))
-        lam2 = SphereSampler(_stream_at(seed, "singlet-lam2", skip))
+        lam1 = _FrameSampler(seed, "singlet-lam1", start, frame, chunk)
+        lam2 = _FrameSampler(seed, "singlet-lam2", start, frame, chunk)
         box = _stream_at(seed, "pr-box-bit", start)  # one draw per box bit
-        scratch1, scratch2 = np.empty((2, SphereSampler.SCRATCH_PER_POINT * chunk))
         draws, bits = np.empty(chunk), np.empty(chunk, bool)
 
         def disagree(m: int) -> np.ndarray:
-            lam1_m = lam1.sample(m, out=scratch1)
-            lam2_m = lam2.sample(m, out=scratch2)
+            a1, b1 = lam1.project(m)
+            a2, b2 = lam2.project(m)
             bits_m = np.less(box.random(out=draws[:m]), 0.5, out=bits[:m])
-            A, B = _sign_products(a, b, lam1_m, lam2_m, bits_m)
+            A, B = _sign_products(a1, a2, b1, b2, bits_m)
             return A != B
 
         return disagree

@@ -17,7 +17,9 @@ SOURCES = sorted(
     if path.name != "__init__.py"
 )
 
-#: Test-only helpers that left the package; each now lives in the tests.
+#: Names that left the package.  The test-only helpers among them now live
+#: in the tests; ``SCRATCH_PER_POINT`` sized the world-frame sampling
+#: buffers that the estimators no longer use.
 DELETED = (
     "polar_from_standard",
     "standard_from_polar",
@@ -30,6 +32,7 @@ DELETED = (
     "SchmidtState",
     "CurvePartition",
     "_state_vector",
+    "SCRATCH_PER_POINT",
 )
 
 
@@ -46,7 +49,7 @@ class TestPublicNames:
 
     @pytest.mark.parametrize("name", DELETED)
     def test_deleted_helpers_are_gone(self, name):
-        for owner in (nonlocality_lab, *MODULES):
+        for owner in (nonlocality_lab, *MODULES, singlet_sim.SphereSampler):
             assert not hasattr(owner, name), f"{owner.__name__}.{name}"
 
 

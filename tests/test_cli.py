@@ -22,6 +22,7 @@ from nonlocality_lab import cli, entangled_ops
 from nonlocality_lab.cli import main
 from nonlocality_lab.crypto_bell import _SCAN_BLOCK_CELLS, RegionScan, region_scan, scan_to_csv
 from nonlocality_lab.entangled_ops import MAX_DIM
+from nonlocality_lab.singlet_sim import SingletEstimate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GRID = re.compile(r"([0-9]+)x([0-9]+)")
@@ -33,6 +34,52 @@ def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
+
+
+def dispatch_targets():
+    """numpy's dispatch targets on this host above its baseline, read from
+    ``numpy.lib.introspect.opt_func_info``."""
+    from numpy.lib.introspect import opt_func_info
+
+    targets = {
+        target
+        for signatures in opt_func_info().values()
+        for info in signatures.values()
+        for target in info["available"].split()
+    }
+    return sorted(target for target in targets if not target.startswith("baseline("))
+
+
+#: Runs the CLI after checking that no numpy kernel in use belongs to a
+#: target that NPY_DISABLE_CPU_FEATURES turned off.
+DISPATCH_CHILD = (
+    "import os, sys\n"
+    "from numpy.lib.introspect import opt_func_info\n"
+    "off = set(os.environ.get('NPY_DISABLE_CPU_FEATURES', '').split())\n"
+    "used = {i['current'] for s in opt_func_info().values() for i in s.values()}\n"
+    "assert not off & used, off & used\n"
+    "from nonlocality_lab.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+def run_per_dispatch_level(argv):
+    """(exit code, stdout) of the CLI in child processes, keyed by the
+    dispatch target turned off in that child; key None is a child with
+    every target the host has."""
+    results = {}
+    for target in (None, *dispatch_targets()):
+        env = child_env()
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if target is not None:
+            env["NPY_DISABLE_CPU_FEATURES"] = target
+        result = subprocess.run(
+            [sys.executable, "-c", DISPATCH_CHILD, *argv],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert result.returncode in (0, 1), result.stderr
+        results[target] = (result.returncode, result.stdout)
+    return results
 
 
 def strict_json(text):
@@ -88,19 +135,30 @@ class TestSinglet:
     @pytest.mark.parametrize(
         "argv, digest",
         [
-            (["--n", "300000", "--pairs", "3", "--json", "--seed", "1"], "9110e4dc7565e41f"),
-            (["--n", "300000", "--pairs", "3", "--json", "--seed", "7"], "64071aecaa9ee122"),
-            (["--n", "300000", "--pairs", "3", "--json", "--seed", "12345"], "b138c2afb6ed10bb"),
-            (["--seed", "7"], "a096326184380b46"),
+            (["--n", "300000", "--pairs", "3", "--json", "--seed", "1"], "99b6e3b82c5ede9d"),
+            (["--n", "300000", "--pairs", "3", "--json", "--seed", "7"], "29b2ea182568da86"),
+            (["--n", "300000", "--pairs", "3", "--json", "--seed", "12345"], "46ffa1b785037cd6"),
+            (["--seed", "7"], "a7f7aba8a400a819"),
         ],
         ids=["json-1", "json-7", "json-12345", "text-7"],
     )
     def test_stdout_bytes_pinned(self, capsys, argv, digest):
-        # SHA-256 prefixes of stdout; the singlet output was found the same
-        # at every numpy SIMD dispatch level, so these hold across CPUs
+        # SHA-256 prefixes of stdout; test_bytes_are_the_same_at_every_
+        # dispatch_level checks the singlet output at every SIMD level the
+        # host has, so these hold across CPUs
         code, out = run_cli(capsys, "singlet", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+    def test_bytes_are_the_same_at_every_dispatch_level(self):
+        # numpy picks its ufunc kernels by CPU feature at run time; turning
+        # one target off in a child makes it run the next one down
+        if not dispatch_targets():
+            pytest.skip("numpy dispatches to no target above its baseline on this host")
+        results = run_per_dispatch_level(["singlet", "--n", "20000", "--pairs", "5", "--seed", "7"])
+        assert results[None][0] == 0
+        for target, result in results.items():
+            assert result == results[None], f"NPY_DISABLE_CPU_FEATURES={target}"
 
     def test_json_schema(self, capsys):
         code, out = run_cli(
@@ -113,6 +171,30 @@ class TestSinglet:
         assert set(record) == {
             "a", "b", "n", "seed", "e_hat", "stderr", "quantum_reference", "pass",
         }
+
+    def test_failing_pair_is_named_on_stderr(self, capsys, monkeypatch):
+        # pair 1 misses -a.b by 0.05 at a 0.004 threshold; stdout and the
+        # exit code are those of the report before it named the pair
+        calls = []
+
+        def estimate(a, b, n, seed):
+            calls.append(seed)
+            return SingletEstimate(-float(a @ b) + (0.05 if len(calls) == 2 else 0.0), 0.001)
+
+        monkeypatch.setattr(cli, "estimate_singlet_correlation", estimate)
+        code = main(["singlet", "--n", "1000", "--pairs", "3", "--seed", "7"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == (
+            "       a.b      e_hat       -a.b     stderr  verdict (4 sigma, 0.01 floor)\n"
+            "  +0.66783   -0.66783   -0.66783    0.00100  PASS\n"
+            "  +0.40996   -0.35996   -0.40996    0.00100  FAIL\n"
+            "  -0.37539   +0.37539   +0.37539    0.00100  PASS\n"
+            "all pairs FAIL\n"
+        )
+        assert captured.err == (
+            "nonlocality-lab: singlet: pair 1: gap 5.000e-02 is not below threshold 1.000e-02\n"
+        )
 
     @pytest.mark.skipif(
         not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
@@ -292,6 +374,25 @@ class TestCrypto:
         assert payload["closed_form"] == {"printed": None, "normalized": None}
         assert payload["discrepancy"]["printed"] is None
         assert payload["discrepancy"]["normalized"] is None
+
+    def test_tau_average_failure_is_named_on_stderr(self, capsys, monkeypatch):
+        # a gap of 2e-6 against the 1e-6 tolerance; stdout and the exit code
+        # are those of the report before it named the failure
+        alpha = 0.3926990817
+        reference = cli.quantum_chsh_reference(alpha)
+        monkeypatch.setattr(cli, "tau_average_chsh", lambda alpha: reference + 2e-6)
+        code = main(["crypto", "tau-average", "--alpha", repr(alpha)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == (
+            "tau-averaged F = -2.828425\n"
+            "quantum oracle = -2.828427\n"
+            f"|difference| = {abs(reference + 2e-6 - reference):.3e}\n"
+        )
+        assert captured.err == (
+            f"nonlocality-lab: tau-average: alpha = {alpha!r}: gap"
+            f" {abs(reference + 2e-6 - reference):.3e} exceeds tolerance 1e-06\n"
+        )
 
     def test_tau_average(self, capsys):
         code, out = run_cli(capsys, "crypto", "tau-average", "--alpha", "0.3926990817")

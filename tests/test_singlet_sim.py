@@ -11,9 +11,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nonlocality_lab import singlet_sim
+from nonlocality_lab import crypto_bell, singlet_sim
 from nonlocality_lab._rng import derive_seed, substream
-from nonlocality_lab.crypto_bell import _outcome_bits, mc_joint_correlation, rotated_settings
+from nonlocality_lab.crypto_bell import (
+    RotatedPair,
+    _outcome_bits,
+    mc_joint_correlation,
+    rotated_settings,
+)
 from nonlocality_lab.pr_box import pr_hidden_outputs
 from nonlocality_lab.singlet_sim import (
     CHUNK_ROUNDS,
@@ -21,6 +26,8 @@ from nonlocality_lab.singlet_sim import (
     SingletEstimate,
     SphereSampler,
     _chunked_estimate,
+    _frame,
+    _FrameSampler,
     _sign_products,
     _stream_at,
     as_unit_vector,
@@ -63,13 +70,42 @@ def sampler(seed):
     return SphereSampler(substream(seed, "test-sphere"))
 
 
-def singlet_draws(seed, n):
-    """The hidden vectors and box bits ``estimate_singlet_correlation``
-    draws for ``seed``."""
-    lam1 = SphereSampler(substream(seed, "singlet-lam1")).sample(n)
-    lam2 = SphereSampler(substream(seed, "singlet-lam2")).sample(n)
+def projections(a, b, lam1, lam2):
+    """The projections ``_sign_products`` takes, by world-frame dot products."""
+    return lam1 @ a, lam2 @ a, lam1 @ b, lam2 @ b
+
+
+def frame_basis(a, b):
+    """Test oracle: the rows e1, e2, e3 of the right-handed orthonormal frame
+    with e3 along a and b in the half-plane of e3 and +e1, built without
+    ``_frame``; b must not be parallel to a."""
+    e3 = a / np.linalg.norm(a)
+    e1 = b - (b @ e3) * e3
+    e1 /= np.linalg.norm(e1)
+    return np.array([e1, np.cross(e3, e1), e3])
+
+
+def singlet_draws(a, b, seed, n):
+    """Test oracle: the hidden vectors and box bits that
+    ``estimate_singlet_correlation(a, b, n, seed)`` draws, as world vectors:
+    each stream's points, read as frame coordinates and rotated into the
+    world by ``frame_basis``."""
+    basis = frame_basis(a, b)
+    lam1 = SphereSampler(substream(seed, "singlet-lam1")).sample(n) @ basis
+    lam2 = SphereSampler(substream(seed, "singlet-lam2")).sample(n) @ basis
     bits = substream(seed, "pr-box-bit").random(n) < 0.5
     return lam1, lam2, bits
+
+
+def frame_rounds(a, b, seed, n):
+    """The ``_sign_products`` arguments of the first n rounds that
+    ``estimate_singlet_correlation(a, b, n, seed)`` draws."""
+    frame = _frame(a, b)
+    (a1, b1), (a2, b2) = (
+        _FrameSampler(seed, label, 0, frame, n).project(n)
+        for label in ("singlet-lam1", "singlet-lam2")
+    )
+    return a1, a2, b1, b2, substream(seed, "pr-box-bit").random(n) < 0.5
 
 
 def singlet_mean_stderr(a, b, n, seed):
@@ -94,13 +130,15 @@ def serial_chunked_estimate(n, disagree):
 
 def serial_singlet(a, b, n, seed):
     """Test oracle: ``estimate_singlet_correlation`` on one serial pass
-    through its three streams."""
-    lam1 = SphereSampler(substream(seed, "singlet-lam1"))
-    lam2 = SphereSampler(substream(seed, "singlet-lam2"))
+    through its three streams, in the frame of (a, b)."""
+    frame, chunk = _frame(a, b), singlet_sim.CHUNK_ROUNDS
+    lam1 = _FrameSampler(seed, "singlet-lam1", 0, frame, chunk)
+    lam2 = _FrameSampler(seed, "singlet-lam2", 0, frame, chunk)
     box = substream(seed, "pr-box-bit")
 
     def disagree(m):
-        A, B = _sign_products(a, b, lam1.sample(m), lam2.sample(m), box.random(m) < 0.5)
+        (a1, b1), (a2, b2) = lam1.project(m), lam2.project(m)
+        A, B = _sign_products(a1, a2, b1, b2, box.random(m) < 0.5)
         return A != B
 
     return serial_chunked_estimate(n, disagree)
@@ -108,12 +146,41 @@ def serial_singlet(a, b, n, seed):
 
 def serial_full_sphere(a, b, n, seed):
     """Test oracle: ``mc_joint_correlation`` on one serial pass through its
-    stream."""
+    stream, in the frame of the rotated pair."""
     pair = rotated_settings(a, b)
+    lam = _FrameSampler(seed, "crypto-mc-lam", 0, _frame(pair.a_hat, pair.b_hat), singlet_sim.CHUNK_ROUNDS)
+
+    def disagree(m):
+        A, B = _outcome_bits(*lam.project(m))
+        return A != B
+
+    estimate = serial_chunked_estimate(n, disagree)
+    return estimate.e_hat, estimate.stderr
+
+
+def world_singlet(a, b, n, seed):
+    """Test oracle: ``estimate_singlet_correlation`` sampled in world
+    coordinates, serially, with (n, 3) points and dot products."""
+    lam1 = SphereSampler(substream(seed, "singlet-lam1"))
+    lam2 = SphereSampler(substream(seed, "singlet-lam2"))
+    box = substream(seed, "pr-box-bit")
+
+    def disagree(m):
+        lams = projections(a, b, lam1.sample(m), lam2.sample(m))
+        A, B = _sign_products(*lams, box.random(m) < 0.5)
+        return A != B
+
+    return serial_chunked_estimate(n, disagree)
+
+
+def world_full_sphere(a_hat, b_hat, n, seed):
+    """Test oracle: ``mc_joint_correlation`` at the rotated pair (a_hat,
+    b_hat), sampled in world coordinates, serially."""
     lam = SphereSampler(substream(seed, "crypto-mc-lam"))
 
     def disagree(m):
-        A, B = _outcome_bits(pair.a_hat, pair.b_hat, lam.sample(m))
+        points = lam.sample(m)
+        A, B = _outcome_bits(points @ a_hat, points @ b_hat)
         return A != B
 
     estimate = serial_chunked_estimate(n, disagree)
@@ -216,22 +283,88 @@ class TestSphereSampler:
         assert got.tobytes() == want.tobytes()
         assert (got.shape, got.strides) == (want.shape, want.strides)
 
+
+
+def random_pairs(rng, k):
+    """k pairs of independent random unit vectors."""
+    return unit_rows(rng.normal(size=(k, 2, 3)))
+
+
+class TestFrame:
+    """``_frame``: the settings pair as (cos theta, sin theta)."""
+
+    def test_random_pairs(self):
+        for a, b in random_pairs(np.random.default_rng(7), 200):
+            cos_t, sin_t = _frame(a, b)
+            assert cos_t == pytest.approx(float(a @ b), abs=1e-15)
+            assert sin_t >= 0.0
+            assert cos_t**2 + sin_t**2 == pytest.approx(1.0, abs=1e-15)
+            # b = cos theta e3 + sin theta e1 in the oracle's frame
+            basis = frame_basis(a, b)
+            np.testing.assert_allclose(basis @ b, [sin_t, 0.0, cos_t], atol=1e-15)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_parallel_settings_have_exact_zero_sine(self, sign):
+        rng = np.random.default_rng(8)
+        for a in [*np.eye(3), *-np.eye(3), *unit_rows(rng.normal(size=(60, 3)))]:
+            cos_t, sin_t = _frame(a, sign * a)
+            assert sin_t == 0.0
+            assert math.copysign(1.0, cos_t) == sign
+
+    @pytest.mark.parametrize("scale", [1.0 + 4.99e-10, 1.0 - 4.99e-10])
+    def test_near_unit_settings_stay_finite(self, scale):
+        # |a.b| > 1 here: sqrt(1 - cos^2 theta) would be NaN
+        a = scale * Z
+        as_unit_vector(a)  # inside the norm tolerance
+        for b in (a, -a, scale * unit_rows(np.array([1e-9, 0.0, 1.0]))):
+            cos_t, sin_t = _frame(a, b)
+            assert math.isfinite(cos_t) and math.isfinite(sin_t)
+            assert abs(cos_t) == pytest.approx(1.0, abs=1e-8)
+            assert 0.0 <= sin_t < 1e-8
+
+
+class TestFrameSampler:
+    """The estimators' sampler: sphere points in the frame of their settings."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1001])
+    def test_matches_trig_formula(self, n):
+        # the (z, phi) doubles of SphereSampler; b.lam = z cos + x sin with
+        # x = r cos(phi), rounded in that order
+        cos_t, sin_t = _frame(A_DIR, B_DIR)
+        u = 2.0 * substream(3, "test-sphere").random((n, 2)) - 1.0
+        z, phi = u[:, 0], math.pi * u[:, 1]
+        x = np.cos(phi) * np.sqrt(1.0 - z * z)
+        got_z, got_b = _FrameSampler(3, "test-sphere", 0, (cos_t, sin_t), n).project(n)
+        assert got_z.tobytes() == z.tobytes()
+        assert got_b.tobytes() == (z * cos_t + x * sin_t).tobytes()
+
     @pytest.mark.parametrize("m", [1, 7, CHUNK_ROUNDS - 1, CHUNK_ROUNDS])
-    def test_out_buffer_equals_fresh_sample(self, m):
-        # a short draw after a longer one on the same buffer keeps the
-        # F-ordered layout: a C-ordered copy of the same points can give
-        # lam @ a different last bits, since it takes another matmul path
-        longer = CHUNK_ROUNDS + 1
-        buf = np.empty(SphereSampler.SCRATCH_PER_POINT * longer)
-        reused, fresh = sampler(6), sampler(6)
-        reused.sample(longer, out=buf)
-        fresh.sample(longer)
-        got, want = reused.sample(m, out=buf), fresh.sample(m)
-        assert got.tobytes() == want.tobytes()
-        assert (got.shape, got.strides) == (want.shape, want.strides) == ((m, 3), (8, 8 * m))
-        assert got.flags.f_contiguous
-        assert np.shares_memory(got, buf)
-        assert (got @ A_DIR).tobytes() == (want @ A_DIR).tobytes()
+    def test_pieces_equal_one_draw(self, m):
+        # a short draw after a longer one on the same scratch
+        frame, n = _frame(A_DIR, B_DIR), CHUNK_ROUNDS + m
+        lam = _FrameSampler(5, "test-sphere", 0, frame, CHUNK_ROUNDS)
+        first = [v.copy() for v in lam.project(CHUNK_ROUNDS)]
+        second = lam.project(m)
+        whole = _FrameSampler(5, "test-sphere", 0, frame, n).project(n)
+        for i in range(2):
+            assert np.concatenate([first[i], second[i]]).tobytes() == whole[i].tobytes()
+
+    def test_opened_at_start_is_its_tail(self):
+        frame, n, start = _frame(A_DIR, B_DIR), 3 * CHUNK_ROUNDS + 5, 2 * CHUNK_ROUNDS
+        full = _FrameSampler(41, "singlet-lam1", 0, frame, n).project(n)
+        tail = _FrameSampler(41, "singlet-lam1", start, frame, n - start).project(n - start)
+        for i in range(2):
+            assert tail[i].tobytes() == full[i][start:].tobytes()
+
+    def test_is_the_sample_seen_in_the_frame(self):
+        # rotating the world-frame sample into the oracle's frame gives the
+        # same projections up to rounding
+        n = 5000
+        for k, (a, b) in enumerate(random_pairs(np.random.default_rng(9), 20)):
+            lam = SphereSampler(substream(k, "test-sphere")).sample(n) @ frame_basis(a, b)
+            z, b_lam = _FrameSampler(k, "test-sphere", 0, _frame(a, b), n).project(n)
+            np.testing.assert_allclose(lam @ a, z, rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(lam @ b, b_lam, rtol=0.0, atol=1e-15)
 
 
 class TestSingletRound:
@@ -244,7 +377,7 @@ class TestSingletRound:
     def test_kernel_matches_scalar_oracle(self, rounds):
         # round by round, including the ties and both box bits
         a, b, lam1, lam2, bits = rounds(np.random.default_rng(1), 2000)
-        A, B = _sign_products(a, b, lam1, lam2, bits)
+        A, B = _sign_products(*projections(a, b, lam1, lam2), bits)
         for i in range(len(bits)):
             want = scalar_round(a, b, lam1[i], lam2[i], int(bits[i]))
             assert (int(A[i]), int(B[i])) == want
@@ -254,8 +387,8 @@ class TestSingletRound:
         # o_a xor o_b = x*y for either box bit: each outcome flips with the
         # bit, their product does not
         a, b, lam1, lam2, bits = random_rounds(np.random.default_rng(5), 10_000)
-        A, B = _sign_products(a, b, lam1, lam2, bits)
-        A_flip, B_flip = _sign_products(a, b, lam1, lam2, ~bits)
+        A, B = _sign_products(*projections(a, b, lam1, lam2), bits)
+        A_flip, B_flip = _sign_products(*projections(a, b, lam1, lam2), ~bits)
         np.testing.assert_array_equal(A_flip, ~A)
         np.testing.assert_array_equal(B_flip, ~B)
         np.testing.assert_array_equal(A_flip != B_flip, A != B)
@@ -410,10 +543,10 @@ class TestEstimator:
         assert e1 == e2
 
     def test_matches_scalar_rounds(self):
-        # replicate the estimator's draws, then walk them through the
-        # scalar oracle round by round
+        # replicate the estimator's draws as world vectors, then walk them
+        # through the scalar oracle round by round
         n, seed = 2000, 9
-        lam1, lam2, bits = singlet_draws(seed, n)
+        lam1, lam2, bits = singlet_draws(A_DIR, B_DIR, seed, n)
         products = [
             math.prod(
                 1 - 2 * o
@@ -427,7 +560,7 @@ class TestEstimator:
     def test_marginals_are_unbiased(self):
         # no-signaling at the simulation level: each outcome bit is a fair coin
         n, seed = 200_000, 13
-        A, B = _sign_products(A_DIR, B_DIR, *singlet_draws(seed, n))
+        A, B = _sign_products(*frame_rounds(A_DIR, B_DIR, seed, n))
         four_sigma = 4.0 * math.sqrt(0.25 / n)
         assert abs(A.mean() - 0.5) < four_sigma
         assert abs(B.mean() - 0.5) < four_sigma
@@ -468,7 +601,7 @@ class TestChunkedCounter:
 
     def test_singlet_stderr_is_sample_std(self):
         n, seed = 50_001, 19
-        A, B = _sign_products(A_DIR, B_DIR, *singlet_draws(seed, n))
+        A, B = _sign_products(*frame_rounds(A_DIR, B_DIR, seed, n))
         products = np.where(A != B, -1.0, 1.0)
         estimate = estimate_singlet_correlation(A_DIR, B_DIR, n, seed)
         assert estimate.e_hat == products.mean()
@@ -478,10 +611,9 @@ class TestChunkedCounter:
     def test_full_sphere_stderr_is_sample_std(self):
         n, seed = 50_001, 23
         pair = rotated_settings(A_DIR, B_DIR)
-        lam = SphereSampler(substream(seed, "crypto-mc-lam")).sample(n)
-        products = np.where(lam @ pair.a_hat >= 0.0, 1.0, -1.0) * np.where(
-            lam @ pair.b_hat >= 0.0, -1.0, 1.0
-        )
+        lam = _FrameSampler(seed, "crypto-mc-lam", 0, _frame(pair.a_hat, pair.b_hat), n)
+        z, b_lam = lam.project(n)
+        products = np.where(z >= 0.0, 1.0, -1.0) * np.where(b_lam >= 0.0, -1.0, 1.0)
         mean, stderr = mc_joint_correlation(A_DIR, B_DIR, n, seed)
         assert mean == products.mean()
         want = products.std(ddof=1) / math.sqrt(n)
@@ -520,6 +652,18 @@ class TestSegments:
         assert mc_joint_correlation(A_DIR, B_DIR, n, seed) == serial_full_sphere(
             A_DIR, B_DIR, n, seed
         )
+
+    @pytest.mark.parametrize("theta", [0.3, 1.1, math.pi / 2, 2.9])
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_world_frame_oracle_where_frames_coincide(self, monkeypatch, theta, seed):
+        # a = e_z and b in the xz-plane with b_x > 0 make the settings frame
+        # the world frame, so sampling there is sampling in the world; the
+        # crypto pair is pinned unrotated to put it at the same frame
+        n, a, b = 100_003, Z, np.array([math.sin(theta), 0.0, math.cos(theta)])
+        assert _frame(a, b) == (b[2], b[0])
+        assert estimate_singlet_correlation(a, b, n, seed) == world_singlet(a, b, n, seed)
+        monkeypatch.setattr(crypto_bell, "rotated_settings", lambda a, b: RotatedPair(a, b, 0.0, 0.0))
+        assert mc_joint_correlation(a, b, n, seed) == world_full_sphere(a, b, n, seed)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 7, 40])
     def test_segment_count_never_shows(self, monkeypatch, cpus):
@@ -634,3 +778,32 @@ class TestPulls:
         pulls = self.pulls(estimate)
         assert abs(pulls.mean()) < 4.0 / math.sqrt(self.K)
         assert self.CHI2_LOW < (pulls**2).sum() < self.CHI2_HIGH
+
+
+class TestDegenerateSettings:
+    """Settings at the edge of the frame: b = +-a, where sin theta = 0, and
+    inputs whose norm is off by as much as ``as_unit_vector`` accepts."""
+
+    N = 3 * CHUNK_ROUNDS + 7
+
+    @staticmethod
+    def settings():
+        rng = np.random.default_rng(61)
+        return [*np.eye(3), *-np.eye(3), *unit_rows(rng.normal(size=(60, 3)))]
+
+    @pytest.mark.parametrize("sign, want", [(1.0, -1.0), (-1.0, 1.0)], ids=["b=a", "b=-a"])
+    def test_parallel_settings_are_exact(self, sign, want):
+        for k, a in enumerate(self.settings()):
+            assert estimate_singlet_correlation(a, sign * a, self.N, k) == SingletEstimate(want, 0.0)
+            assert mc_joint_correlation(a, sign * a, self.N, k) == (want, 0.0)
+
+    @pytest.mark.parametrize("scale", [1.0 + 4.99e-10, 1.0 - 4.99e-10])
+    @pytest.mark.parametrize("estimate", [singlet_mean_stderr, mc_joint_correlation])
+    def test_near_unit_settings(self, estimate, scale):
+        for k, (a, b) in enumerate(random_pairs(np.random.default_rng(62), 10)):
+            a, b = scale * a, scale * b
+            e_hat, stderr = estimate(a, b, self.N, k)
+            assert math.isfinite(e_hat) and math.isfinite(stderr)
+            assert abs(e_hat + float(a @ b)) < 4.0 * stderr
+            assert estimate(a, a, self.N, k) == (-1.0, 0.0)
+            assert estimate(a, -a, self.N, k) == (1.0, 0.0)
