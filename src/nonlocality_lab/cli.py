@@ -250,10 +250,6 @@ def _cmd_crypto_scan(args: argparse.Namespace) -> tuple[None, int]:
     return None, 1 if empty else 0
 
 
-#: Largest gap between the tau-averaged F and the quantum oracle that passes.
-_TAU_AVERAGE_TOL = 1e-6
-
-
 def _cmd_crypto_tau_average(args: argparse.Namespace) -> tuple[None, int]:
     average = tau_average_chsh(args.alpha)
     reference = quantum_chsh_reference(args.alpha)
@@ -261,11 +257,11 @@ def _cmd_crypto_tau_average(args: argparse.Namespace) -> tuple[None, int]:
     print(f"tau-averaged F = {average:.6f}")
     print(f"quantum oracle = {reference:.6f}")
     print(f"|difference| = {gap:.3e}")
-    ok = gap <= _TAU_AVERAGE_TOL  # False for NaN
+    ok = gap <= 1e-6  # False for NaN
     if not ok:
         print(
             f"nonlocality-lab: tau-average: alpha = {args.alpha!r}: gap {gap:.3e}"
-            f" exceeds tolerance {_TAU_AVERAGE_TOL:.0e}",
+            " exceeds tolerance 1e-06",
             file=sys.stderr,
         )
     return None, 0 if ok else 1

@@ -39,11 +39,10 @@ def child_env():
 def dispatch_targets():
     """numpy's dispatch targets on this host above its baseline, read from
     ``numpy.lib.introspect.opt_func_info``."""
-    from numpy.lib.introspect import opt_func_info
-
+    introspect = pytest.importorskip("numpy.lib.introspect")
     targets = {
         target
-        for signatures in opt_func_info().values()
+        for signatures in introspect.opt_func_info().values()
         for info in signatures.values()
         for target in info["available"].split()
     }

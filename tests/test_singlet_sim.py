@@ -148,7 +148,8 @@ def serial_full_sphere(a, b, n, seed):
     """Test oracle: ``mc_joint_correlation`` on one serial pass through its
     stream, in the frame of the rotated pair."""
     pair = rotated_settings(a, b)
-    lam = _FrameSampler(seed, "crypto-mc-lam", 0, _frame(pair.a_hat, pair.b_hat), singlet_sim.CHUNK_ROUNDS)
+    frame = _frame(pair.a_hat, pair.b_hat)
+    lam = _FrameSampler(seed, "crypto-mc-lam", 0, frame, singlet_sim.CHUNK_ROUNDS)
 
     def disagree(m):
         A, B = _outcome_bits(*lam.project(m))
@@ -189,6 +190,11 @@ def world_full_sphere(a_hat, b_hat, n, seed):
 
 def unit_rows(v):
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def random_pairs(rng, k):
+    """k pairs of independent random unit vectors."""
+    return unit_rows(rng.normal(size=(k, 2, 3)))
 
 
 def random_rounds(rng, n):
@@ -284,12 +290,6 @@ class TestSphereSampler:
         assert (got.shape, got.strides) == (want.shape, want.strides)
 
 
-
-def random_pairs(rng, k):
-    """k pairs of independent random unit vectors."""
-    return unit_rows(rng.normal(size=(k, 2, 3)))
-
-
 class TestFrame:
     """``_frame``: the settings pair as (cos theta, sin theta)."""
 
@@ -313,7 +313,7 @@ class TestFrame:
 
     @pytest.mark.parametrize("scale", [1.0 + 4.99e-10, 1.0 - 4.99e-10])
     def test_near_unit_settings_stay_finite(self, scale):
-        # |a.b| > 1 here: sqrt(1 - cos^2 theta) would be NaN
+        # at scale > 1, |a.b| > 1 for b = +-a: sqrt(1 - cos^2 theta) would be NaN
         a = scale * Z
         as_unit_vector(a)  # inside the norm tolerance
         for b in (a, -a, scale * unit_rows(np.array([1e-9, 0.0, 1.0]))):
