@@ -24,10 +24,10 @@ Each command prints its text report unless ``--json`` is given; then
 finite result (the closed forms at their singular points, a non-finite
 theorem residual) is written as ``null``, never as ``NaN`` or
 ``Infinity``.  All randomness derives from --seed through named
-substreams, so identical invocations produce byte-identical output on one
-CPU dispatch level: numpy picks its ufunc kernels by CPU feature at run
-time, and the ``crypto scan`` CSV and the last digits of the ``theorem``
-residuals move with that choice.
+substreams, so identical invocations produce byte-identical output on any
+CPU, with two exceptions: numpy picks its ufunc kernels by CPU feature at
+run time, and the ``|difference|`` line of ``crypto tau-average`` and the
+last digits of the ``theorem`` residuals move with that choice.
 """
 
 from __future__ import annotations

@@ -29,26 +29,30 @@ to 0, and a product of two signs differs from its value at the pole mu = 0
 only on two antipodal arcs, whose |sin mu| weight is a difference of two
 sines.  One numpy kernel evaluates this for a whole array of tau values and
 a stack of one- or two-vector sets at once; every fixed-tau correlation,
-CHSH value and region scan in this module goes through it.  The settings
-stack the same way: ``four_directions`` takes an array of alpha and
-``rotated_settings`` (..., 3) stacks, row by row, so the scan rotates its
-whole family in one call.  It stacks whole alpha rows into blocks of about
-1.5k cells, one kernel call each, as arrays (``RegionScan``).  ``crypto
-scan`` streams them: ``scan_to_csv`` writes each block row by row while a
-``_ScanTally`` adds up its classes and peak candidates, and the block is
-dropped before the next is computed, so the scan holds the n_alpha rotated
-pairs, the n_tau centers and one block, whatever the grid.  ``region_scan``
-joins the same blocks into one ``RegionScan`` of the whole grid, and
-``conditional_chsh`` is one 1 x 1 block.  ``RegionScan.cell`` builds every
-``ConditionalChsh``, so a point equals its scan cell bit for bit.
+CHSH value and region scan in this module goes through it.  A setting pair
+has one layout throughout, the (..., 2, 3) stack of (Alice, Bob) that the
+kernels take: ``four_directions`` gives the family's four pairs as
+(..., 4, 2, 3) over an array of alpha, and ``rotated_settings`` rotates
+(..., 3) stacks row by row with no angle computed, so its bits do not
+depend on the CPU's SIMD dispatch level.  The scan rotates its whole family in one call
+and stacks whole alpha rows into blocks of about 1.5k cells, one kernel
+call each, as arrays (``RegionScan``).  ``crypto scan`` streams them:
+``scan_to_csv`` writes each block row by row while a ``_ScanTally`` adds up
+its classes and peak candidates, and the block is dropped before the next
+is computed, so the scan holds the n_alpha rotated pairs, the n_tau centers
+and one block, whatever the grid.  ``region_scan`` joins the same blocks
+into one ``RegionScan`` of the whole grid, and ``conditional_chsh`` is one
+1 x 1 block.  ``RegionScan.cell`` builds every ``ConditionalChsh``, so a
+point equals its scan cell bit for bit.
 
-The tau averages are EXACT as well: a pair averages to s_1 s_2 (1 -
-|t_1 - t_2|) on the circle tau, where each root offset t has the closed
+The tau averages are EXACT as well: a pair averages to s_1 s_2
+(1 - |t_1 - t_2|) on the circle tau, where each root offset t has the closed
 antiderivative s atan2(v_x sin tau - v_y cos tau, |(v_z, q)|), so the
-integral over tau is a sum of increments between the few breakpoints
-where t_1 - t_2 may change sign (``_tau_integral``).  A dense Riemann sum
-is kept in the test suite as an independent cross-check.  The closed
-forms are array expressions over alpha and tau broadcast together:
+integral over tau is a sum of increments between the few breakpoints where
+t_1 - t_2 may change sign (``_tau_integral``; its atan2 lets the last bits
+move with the CPU's dispatch level).  A dense Riemann sum is kept in the
+test suite as an independent cross-check.  The closed forms are array
+expressions over alpha and tau broadcast together:
 ``closed_form_correlations`` returns the printed and the normalized variant
 (chi/2) stacked on a leading axis from one ``chi_functions`` call, and
 ``closed_form_chsh`` checks both against the exact integrator, never the
@@ -68,12 +72,10 @@ from .correlations import NonlocalityClass, _numeric_array, chsh_class_codes, ch
 from .singlet_sim import _chunked_estimate, _frame, _FrameSampler, as_unit_vector
 
 __all__ = [
-    "RotatedPair",
     "rotated_settings",
     "conditional_correlation",
     "crypto_local_average",
     "mc_joint_correlation",
-    "FourDirectionFamily",
     "four_directions",
     "gamma_functions",
     "critical_alpha",
@@ -97,45 +99,30 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RotatedPair:
-    """Measurement directions after the in-plane rotation.
-
-    a_hat and b_hat stay in the plane of (a, b), symmetric about the
-    bisector of the original angle omega, at the new angle
-    omega_hat = pi * sin^2(omega / 2).  For stacked inputs every field
-    carries the leading axes: a_hat, b_hat (..., 3), omega, omega_hat (...).
-    """
-
-    a_hat: np.ndarray
-    b_hat: np.ndarray
-    omega: float | np.ndarray
-    omega_hat: float | np.ndarray
-
-
-def rotated_settings(a, b) -> RotatedPair:
-    """Rotate (a, b) within their plane to the angle pi * sin^2(omega / 2).
+def rotated_settings(a, b) -> np.ndarray:
+    """The (..., 2, 3) stack (a_hat, b_hat): (a, b) rotated about their
+    bisector, within their plane, to the angle pi * sin^2(omega / 2).
 
     ``a`` and ``b`` are unit 3-vectors or (..., 3) stacks, broadcast row
     against row; each row is computed alone, so a row of a stacked call is
-    bit-identical to the call on that row.  The bisector is preserved.  The
-    degenerate rows are exact: omega = 0 gives (a, a), and omega = pi, whose
-    bisector is ambiguous, gives (a, -a), as every in-plane choice does.
+    bit-identical to the call on that row.  No angle is computed: for unit
+    vectors sin^2(omega / 2) = d^2 / (d^2 + m^2), d = |a - b|, m = |a + b|.
+    The degenerate rows are exact: omega = 0 gives (a, a), and omega = pi,
+    whose bisector is ambiguous, gives (a, -a), as every in-plane choice does.
     """
     a, b = as_unit_vector(a), as_unit_vector(b)
     mid, diff = a + b, a - b
     norm_mid = np.linalg.norm(mid, axis=-1, keepdims=True)
     norm_diff = np.linalg.norm(diff, axis=-1, keepdims=True)
-    omega = 2.0 * np.arctan2(norm_diff[..., 0], norm_mid[..., 0])
-    omega_hat = math.pi * np.sin(omega / 2.0) ** 2
+    half = (math.pi / 2.0) * norm_diff**2 / (norm_diff**2 + norm_mid**2)  # omega_hat / 2
     antiparallel = norm_mid <= 1e-12  # omega = pi
     parallel = norm_diff < 1e-12  # omega = 0
     bisector = mid / np.where(antiparallel, 1.0, norm_mid)
     side = diff / np.where(parallel, 1.0, norm_diff)
-    c, s = np.cos(omega_hat / 2.0)[..., None], np.sin(omega_hat / 2.0)[..., None]
+    c, s = np.cos(half), np.sin(half)
     a_hat = np.where(antiparallel | parallel, a, c * bisector + s * side)
     b_hat = np.where(antiparallel, -a, np.where(parallel, a, c * bisector - s * side))
-    return RotatedPair(a_hat, b_hat, omega, omega_hat)
+    return np.stack([a_hat, b_hat], axis=-2)
 
 
 def _outcome_bits(a_lam, b_lam) -> tuple[np.ndarray, np.ndarray]:
@@ -188,8 +175,7 @@ def _arc_average(vectors, taus) -> np.ndarray:
 
 def conditional_correlation(a, b, tau: float) -> float:
     """Pair correlation at fixed tau: (1/4) int A B |sin mu| dmu, exact."""
-    pair = rotated_settings(a, b)
-    return -float(_arc_average([pair.a_hat, pair.b_hat], [tau])[0])
+    return -float(_arc_average(rotated_settings(a, b), [tau])[0])
 
 
 def crypto_local_average(a, tau: float) -> float:
@@ -213,8 +199,7 @@ def mc_joint_correlation(a, b, n: int, seed: int) -> tuple[float, float]:
     estimator samples in the frame of (a, b), and the rounds go through its
     chunked counter, in bounded memory.
     """
-    pair = rotated_settings(a, b)
-    frame = _frame(pair.a_hat, pair.b_hat)
+    frame = _frame(*rotated_settings(a, b))
 
     def open_rounds(start: int, chunk: int):
         lam = _FrameSampler(seed, "crypto-mc-lam", start, frame, chunk)
@@ -234,34 +219,22 @@ def mc_joint_correlation(a, b, n: int, seed: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FourDirectionFamily:
-    """CHSH settings in the (x, z)-plane, tilted by alpha in [0, pi/4]."""
-
-    a: np.ndarray
-    a_prime: np.ndarray
-    b: np.ndarray
-    b_prime: np.ndarray
-
-    def pairs(self):
-        """The four (Alice, Bob) pairs in CHSH order."""
-        return (
-            (self.a, self.b),
-            (self.a, self.b_prime),
-            (self.a_prime, self.b),
-            (self.a_prime, self.b_prime),
-        )
-
-
-def four_directions(alpha) -> FourDirectionFamily:
-    """The family at alpha, a float or an array; for an array each vector is
-    a stack (..., 3) over it, whose rows equal the calls at each alpha."""
+def four_directions(alpha) -> np.ndarray:
+    """The CHSH pairs (a, b), (a, b'), (a', b), (a', b') tilted by alpha in
+    [0, pi/4], stacked (..., 4, 2, 3) for alpha (...) with rows equal to the
+    calls at each alpha; the table gives their polar angles in the xz-plane."""
     angles = _numeric_array(alpha)
     if not np.all((angles >= 0.0) & (angles <= math.pi / 4.0 + 1e-12)):  # NaN fails
         raise ValueError(f"alpha must lie in [0, pi/4], got {alpha}")
-    theta = np.multiply.outer(angles, [1.0, -3.0, -1.0, 3.0])  # polar angles of a, a', b, b'
-    vectors = np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=-1)
-    return FourDirectionFamily(*np.moveaxis(vectors, -2, 0))
+    theta = np.multiply.outer(angles, [[1.0, -1.0], [1.0, 3.0], [-3.0, -1.0], [-3.0, 3.0]])
+    return np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=-1)
+
+
+def _one_alpha(alpha):
+    """``alpha`` if it is one number (a 0-d array is one), else ``ValueError``."""
+    if _numeric_array(alpha).ndim:
+        raise ValueError(f"alpha must be a scalar, got {alpha!r}")
+    return alpha
 
 
 def gamma_functions(alpha) -> np.ndarray:
@@ -333,9 +306,7 @@ class ConditionalChsh:
 def _rotated_family(alpha) -> np.ndarray:
     """The family's rotated pairs (a_hat, b_hat) in CHSH order, shape
     (..., 4, 2, 3) for alpha of shape (...), in one ``rotated_settings`` call."""
-    lefts, rights = zip(*four_directions(alpha).pairs())
-    pair = rotated_settings(np.stack(lefts, axis=-2), np.stack(rights, axis=-2))
-    return np.stack([pair.a_hat, pair.b_hat], axis=-2)
+    return rotated_settings(*np.moveaxis(four_directions(alpha), -2, 0))
 
 
 def _family_chsh(pairs: np.ndarray, taus) -> tuple[np.ndarray, np.ndarray]:
@@ -350,7 +321,7 @@ def conditional_chsh(alpha: float, tau: float) -> ConditionalChsh:
     """Exact-arc conditional correlations and CHSH value at (alpha, tau):
     the cell of a 1 x 1 block, from the kernel calls of ``_region_blocks``,
     which also check alpha and tau."""
-    e, f = _family_chsh(_rotated_family([alpha]), [tau])
+    e, f = _family_chsh(_rotated_family([_one_alpha(alpha)]), [tau])
     block = RegionScan(np.array([alpha], float), np.array([tau], float), e, f, chsh_class_codes(f))
     return block.cell(0, 0)
 
@@ -427,7 +398,7 @@ def singlet_reference(a, b) -> float:
 def quantum_chsh_reference(alpha: float) -> float:
     """Singlet CHSH value on the tilted family, straight from dot products
     (works out to -3 cos(2 alpha) + cos(6 alpha))."""
-    return chsh_sum([singlet_reference(u, v) for u, v in four_directions(alpha).pairs()])
+    return chsh_sum([singlet_reference(u, v) for u, v in four_directions(_one_alpha(alpha))])
 
 
 def _tau_integral(pairs) -> np.ndarray:
@@ -467,14 +438,13 @@ def tau_average_correlation(a, b) -> float:
     chart carries the whole surface weight); the average must reproduce the
     quantum value -a.b.
     """
-    pair = rotated_settings(a, b)
-    return -float(_tau_integral([pair.a_hat, pair.b_hat])) / math.pi
+    return -float(_tau_integral(rotated_settings(a, b))) / math.pi
 
 
 def tau_average_chsh(alpha: float) -> float:
     """(1/pi) * int_0^pi F_tau(alpha) dtau, exact (``_tau_integral``); must
     reproduce the quantum value -3 cos(2 alpha) + cos(6 alpha)."""
-    return float(chsh_sum(-_tau_integral(_rotated_family(alpha)))) / math.pi
+    return float(chsh_sum(-_tau_integral(_rotated_family(_one_alpha(alpha))))) / math.pi
 
 
 #: Cells per ``_arc_average`` call of the scan: whole alpha rows are stacked

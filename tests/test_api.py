@@ -19,7 +19,8 @@ SOURCES = sorted(
 
 #: Names that left the package.  The test-only helpers among them now live
 #: in the tests; ``SCRATCH_PER_POINT`` sized the world-frame sampling
-#: buffers that the estimators no longer use.
+#: buffers that the estimators no longer use; the two records of the crypto
+#: settings gave way to (..., 2, 3) pair stacks.
 DELETED = (
     "polar_from_standard",
     "standard_from_polar",
@@ -33,6 +34,8 @@ DELETED = (
     "CurvePartition",
     "_state_vector",
     "SCRATCH_PER_POINT",
+    "RotatedPair",
+    "FourDirectionFamily",
 )
 
 

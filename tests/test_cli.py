@@ -62,22 +62,26 @@ DISPATCH_CHILD = (
 )
 
 
-def run_per_dispatch_level(argv):
-    """(exit code, stdout) of the CLI in child processes, keyed by the
-    dispatch target turned off in that child; key None is a child with
-    every target the host has."""
+def run_per_dispatch_level(argv, written=None):
+    """(exit code, stdout, bytes of the file ``written``) of the CLI in child
+    processes, keyed by the dispatch target turned off in that child; key
+    None is a child with every target the host has.  The file is removed
+    before each child runs; without ``written`` the bytes are None."""
     results = {}
     for target in (None, *dispatch_targets()):
         env = child_env()
         env.pop("NPY_DISABLE_CPU_FEATURES", None)
         if target is not None:
             env["NPY_DISABLE_CPU_FEATURES"] = target
+        if written is not None:
+            Path(written).unlink(missing_ok=True)
         result = subprocess.run(
             [sys.executable, "-c", DISPATCH_CHILD, *argv],
             env=env, capture_output=True, timeout=120,
         )
         assert result.returncode in (0, 1), result.stderr
-        results[target] = (result.returncode, result.stdout)
+        file_bytes = None if written is None else Path(written).read_bytes()
+        results[target] = (result.returncode, result.stdout, file_bytes)
     return results
 
 
@@ -259,6 +263,38 @@ class TestCrypto:
         assert rows[0] == ["alpha", "tau", "f", "class"]
         classes = {row[3] for row in rows[1:]}
         assert classes == {"local", "quantum_nonlocal", "superquantum"}
+
+    @pytest.mark.parametrize(
+        "grid, digest",
+        [("200x200", "fab93f0f11974075"), ("40x1000", "ee2fa0ee352bec30"),
+         ("1000x40", "6cf10ef44f175d65")],
+    )
+    def test_scan_csv_bytes_pinned(self, capsys, tmp_path, grid, digest):
+        # SHA-256 prefixes of the benchmark grids' CSV files;
+        # test_scan_and_eval_bytes_are_the_same_at_every_dispatch_level
+        # checks the 200x200 one at every SIMD level the host has
+        out_path = tmp_path / "scan.csv"
+        assert run_cli(capsys, "crypto", "scan", "--grid", grid, "--out", str(out_path))[0] == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest()[:16] == digest
+
+    def test_scan_and_eval_bytes_are_the_same_at_every_dispatch_level(self, tmp_path):
+        # the eval point is a sensitive one: an arctan2 in the rotation
+        # makes its output move with the dispatch level
+        if not dispatch_targets():
+            pytest.skip("numpy dispatches to no target above its baseline on this host")
+        out_path = tmp_path / "scan.csv"
+        scans = run_per_dispatch_level(
+            ["crypto", "scan", "--grid", "200x200", "--out", str(out_path)], out_path
+        )
+        evals = run_per_dispatch_level(
+            ["crypto", "eval", "--alpha", "0.6585008175680938", "--tau", "0.41020349295003805",
+             "--json"]
+        )
+        assert scans[None][0] == evals[None][0] == 0
+        assert hashlib.sha256(scans[None][2]).hexdigest()[:16] == "fab93f0f11974075"
+        for target in scans:
+            assert scans[target] == scans[None], f"NPY_DISABLE_CPU_FEATURES={target}"
+            assert evals[target] == evals[None], f"NPY_DISABLE_CPU_FEATURES={target}"
 
     def test_scan_ignores_thread_variable(self, capsys, tmp_path, monkeypatch):
         unset_path = tmp_path / "unset.csv"
@@ -551,8 +587,9 @@ class TestStreamedScan:
 )
 def test_stdout_bytes_pinned(capsys, tmp_path, monkeypatch, argv, digest):
     # SHA-256 prefixes of stdout, found the same with numpy's AVX512 and
-    # AVX2 dispatch turned off; the scan CSV and the theorem residuals are
-    # not pinned, as their last digits move with that dispatch
+    # AVX2 dispatch turned off.  What still moves with that dispatch is the
+    # |difference| line of a tau average at some alpha (not at 0.3) and
+    # the last digits of the theorem residuals, which are not pinned
     monkeypatch.chdir(tmp_path)  # the scan line names its relative --out path
     code, out = run_cli(capsys, *argv)
     assert code == 0

@@ -17,7 +17,6 @@ from nonlocality_lab.crypto_bell import (
     _SCAN_BLOCK_CELLS,
     ConditionalChsh,
     RegionScan,
-    RotatedPair,
     _arc_average,
     _family_chsh,
     _outcome_bits,
@@ -53,25 +52,35 @@ def random_unit(rng):
     return v / np.linalg.norm(v)
 
 
-def oracle_rotated_settings(a, b) -> RotatedPair:
-    """Oracle for ``rotated_settings``: the one-pair body in scalar math."""
+def angle(u, v) -> float:
+    """The angle between u and v, from atan2, so it is accurate near 0 and pi."""
+    return math.atan2(float(np.linalg.norm(np.cross(u, v))), float(np.dot(u, v)))
+
+
+def rotated_angle(a, b) -> float:
+    """The angle the model rotates (a, b) to, pi sin^2(omega / 2), from the
+    angle omega between them."""
+    return math.pi * math.sin(angle(a, b) / 2.0) ** 2
+
+
+def oracle_rotated_settings(a, b) -> np.ndarray:
+    """Oracle for ``rotated_settings``: the one-pair body in scalar math,
+    with omega from atan2; returns the (2, 3) pair (a_hat, b_hat)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    dot = float(np.clip(a @ b, -1.0, 1.0))
-    omega = math.atan2(float(np.linalg.norm(np.cross(a, b))), dot)
-    omega_hat = math.pi * math.sin(omega / 2.0) ** 2
+    omega_hat = rotated_angle(a, b)
     mid = a + b
     norm_mid = float(np.linalg.norm(mid))
     if norm_mid <= 1e-12:  # omega = pi
-        return RotatedPair(a.copy(), -a, omega, omega_hat)
+        return np.stack([a, -a])
     bisector = mid / norm_mid
     diff = a - b
     norm_diff = float(np.linalg.norm(diff))
     if norm_diff < 1e-12:  # omega = 0
-        return RotatedPair(a.copy(), a.copy(), omega, omega_hat)
+        return np.stack([a, a])
     side = diff / norm_diff
     c, s = math.cos(omega_hat / 2.0), math.sin(omega_hat / 2.0)
-    return RotatedPair(c * bisector + s * side, c * bisector - s * side, omega, omega_hat)
+    return np.stack([c * bisector + s * side, c * bisector - s * side])
 
 
 def mixed_pair_stack(rng, n=400):
@@ -115,20 +124,20 @@ def model_outcomes(a, b, mu: float, tau: float) -> tuple[int, int]:
     def sgn(r: float) -> int:  # sgn(0) = +1 by convention
         return 1 if r >= 0.0 else -1
 
-    pair = rotated_settings(a, b)
+    a_hat, b_hat = rotated_settings(a, b)
     lam = great_circle_point(mu, tau)
-    return sgn(float(pair.a_hat @ lam)), -sgn(float(pair.b_hat @ lam))
+    return sgn(float(a_hat @ lam)), -sgn(float(b_hat @ lam))
 
 
 def riemann_correlation(a, b, tau, nodes=100_000):
     """Independent dense midpoint sum of the conditional correlation."""
-    pair = rotated_settings(a, b)
+    a_hat, b_hat = rotated_settings(a, b)
     mu = (np.arange(nodes) + 0.5) * (2.0 * PI / nodes)
     lam = np.stack(
         [np.sin(mu) * math.cos(tau), np.sin(mu) * math.sin(tau), np.cos(mu)], axis=1
     )
-    a_signs = np.where(lam @ pair.a_hat >= 0.0, 1.0, -1.0)
-    b_signs = np.where(lam @ pair.b_hat >= 0.0, -1.0, 1.0)
+    a_signs = np.where(lam @ a_hat >= 0.0, 1.0, -1.0)
+    b_signs = np.where(lam @ b_hat >= 0.0, -1.0, 1.0)
     weights = np.abs(np.sin(mu)) * (2.0 * PI / nodes)
     return float((a_signs * b_signs * weights).sum() / 4.0)
 
@@ -234,48 +243,45 @@ class TestRotatedSettings:
     def test_fixed_point_right_angle(self):
         a = np.array([1.0, 0.0, 1.0]) / math.sqrt(2)
         b = np.array([-1.0, 0.0, 1.0]) / math.sqrt(2)
-        pair = rotated_settings(a, b)
-        assert pair.omega == pytest.approx(PI / 2)
-        assert pair.omega_hat == pytest.approx(PI / 2)
-        np.testing.assert_allclose(pair.a_hat, a, atol=1e-12)
-        np.testing.assert_allclose(pair.b_hat, b, atol=1e-12)
+        a_hat, b_hat = rotated_settings(a, b)
+        assert angle(a, b) == pytest.approx(PI / 2)
+        assert angle(a_hat, b_hat) == pytest.approx(PI / 2)
+        np.testing.assert_allclose(a_hat, a, atol=1e-12)
+        np.testing.assert_allclose(b_hat, b, atol=1e-12)
 
     def test_collapse_at_zero(self):
         a = np.array([0.0, 0.6, 0.8])
-        pair = rotated_settings(a, a)
-        assert pair.omega_hat == 0.0
-        np.testing.assert_allclose(pair.a_hat, a)
-        np.testing.assert_allclose(pair.b_hat, a)
+        a_hat, b_hat = rotated_settings(a, a)
+        assert angle(a_hat, b_hat) == 0.0
+        np.testing.assert_allclose(a_hat, a)
+        np.testing.assert_allclose(b_hat, a)
 
     def test_pi_sin_squared_relation(self):
         # omega = pi/3 rotates to pi * sin^2(pi/6) = pi/4
         a = np.array([math.sin(PI / 6), 0.0, math.cos(PI / 6)])
         b = np.array([-math.sin(PI / 6), 0.0, math.cos(PI / 6)])
-        pair = rotated_settings(a, b)
-        assert pair.omega == pytest.approx(PI / 3, abs=1e-12)
-        assert pair.omega_hat == pytest.approx(PI / 4, abs=1e-12)
+        a_hat, b_hat = rotated_settings(a, b)
+        assert angle(a, b) == pytest.approx(PI / 3, abs=1e-12)
+        assert angle(a_hat, b_hat) == pytest.approx(PI / 4, abs=1e-12)
 
     def test_invariants_random(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             a, b = random_unit(rng), random_unit(rng)
-            pair = rotated_settings(a, b)
+            a_hat, b_hat = rotated_settings(a, b)
             # rotated angle matches pi sin^2(omega/2)
-            cos_hat = float(np.clip(pair.a_hat @ pair.b_hat, -1, 1))
-            angle = math.acos(cos_hat)
-            assert angle == pytest.approx(pair.omega_hat, abs=1e-9)
+            cos_hat = float(np.clip(a_hat @ b_hat, -1, 1))
+            assert math.acos(cos_hat) == pytest.approx(rotated_angle(a, b), abs=1e-9)
             # coplanar with (a, b): triple products vanish
             normal = np.cross(a, b)
-            assert abs(normal @ pair.a_hat) < 1e-9
-            assert abs(normal @ pair.b_hat) < 1e-9
+            assert abs(normal @ a_hat) < 1e-9
+            assert abs(normal @ b_hat) < 1e-9
             # symmetric about the bisector
             bisector = a + b
-            assert pair.a_hat @ bisector == pytest.approx(
-                pair.b_hat @ bisector, abs=1e-9
-            )
+            assert a_hat @ bisector == pytest.approx(b_hat @ bisector, abs=1e-9)
             # unit norms
-            assert np.linalg.norm(pair.a_hat) == pytest.approx(1.0, abs=1e-12)
-            assert np.linalg.norm(pair.b_hat) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(a_hat) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(b_hat) == pytest.approx(1.0, abs=1e-12)
 
     def test_monotone_with_fixed_points(self):
         omegas = np.linspace(0.0, PI, 101)
@@ -291,45 +297,39 @@ class TestRotatedSettings:
 
     def test_antiparallel_gives_opposite_rotated(self):
         a = np.array([0.0, 0.6, 0.8])
-        pair = rotated_settings(a, -a)
-        assert pair.omega == pytest.approx(PI)
-        assert pair.omega_hat == pytest.approx(PI)
-        np.testing.assert_array_equal(pair.a_hat, a)
-        np.testing.assert_array_equal(pair.b_hat, -a)
+        a_hat, b_hat = rotated_settings(a, -a)
+        assert angle(a, -a) == pytest.approx(PI)
+        assert angle(a_hat, b_hat) == pytest.approx(PI)
+        np.testing.assert_array_equal(a_hat, a)
+        np.testing.assert_array_equal(b_hat, -a)
 
 
 class TestStackedRotation:
     def test_matches_scalar_oracle(self):
         a, b, degenerate = mixed_pair_stack(np.random.default_rng(11))
-        pair = rotated_settings(a, b)
-        assert pair.a_hat.shape == pair.b_hat.shape == a.shape
-        assert pair.omega.shape == pair.omega_hat.shape == a.shape[:1]
+        pairs = rotated_settings(a, b)
+        assert pairs.shape == (len(a), 2, 3)
         for i in range(len(a)):
             want = oracle_rotated_settings(a[i], b[i])
-            for got, exp in ((pair.a_hat[i], want.a_hat), (pair.b_hat[i], want.b_hat)):
-                if degenerate[i]:
-                    np.testing.assert_array_equal(got, exp)
-                else:
-                    np.testing.assert_allclose(got, exp, rtol=0.0, atol=1e-15)
-            assert pair.omega[i] == pytest.approx(want.omega, abs=1e-15)
-            assert pair.omega_hat[i] == pytest.approx(want.omega_hat, abs=1e-15)
+            if degenerate[i]:
+                np.testing.assert_array_equal(pairs[i], want)
+            else:
+                np.testing.assert_allclose(pairs[i], want, rtol=0.0, atol=1e-15)
+            assert angle(*pairs[i]) == pytest.approx(rotated_angle(a[i], b[i]), abs=2e-15)
 
     def test_rows_equal_single_calls_bitwise(self):
         a, b, _ = mixed_pair_stack(np.random.default_rng(12), n=200)
         stacked = rotated_settings(a.reshape(10, 20, 3), b.reshape(10, 20, 3))
         for i, j in np.ndindex(10, 20):
             single = rotated_settings(a[20 * i + j], b[20 * i + j])
-            assert single.a_hat.shape == (3,)
-            assert single.a_hat.tobytes() == stacked.a_hat[i, j].tobytes()
-            assert single.b_hat.tobytes() == stacked.b_hat[i, j].tobytes()
-            assert single.omega == stacked.omega[i, j]
-            assert single.omega_hat == stacked.omega_hat[i, j]
+            assert single.shape == (2, 3)
+            assert single.tobytes() == stacked[i, j].tobytes()
 
     def test_broadcasts_one_vector_against_a_stack(self):
         a, b, _ = mixed_pair_stack(np.random.default_rng(13), n=20)
-        pair = rotated_settings(a[0], b)
+        pairs = rotated_settings(a[0], b)
         for j in range(len(b)):
-            assert pair.b_hat[j].tobytes() == rotated_settings(a[0], b[j]).b_hat.tobytes()
+            assert pairs[j].tobytes() == rotated_settings(a[0], b[j]).tobytes()
 
     def test_family_stack_equals_per_alpha_calls(self):
         alphas = (np.arange(1000) + 0.5) * (PI / 4.0) / 1000
@@ -381,11 +381,11 @@ class TestModelOutcomes:
     @example((np.array([0.6, 0.8, 0.0]), np.array([0.0, 1.0, 0.0]), 0.0, 2.0))
     def test_kernel_matches_scalar_oracle(self, case):
         a, b, mu, tau = case
-        pair = rotated_settings(a, b)
+        a_hat, b_hat = rotated_settings(a, b)
         lam = great_circle_point(mu, tau)
         if a[2] == b[2] == mu == 0.0:  # the tie cases really tie
-            assert pair.a_hat @ lam == 0.0 and pair.b_hat @ lam == 0.0
-        A, B = _outcome_bits(lam[None] @ pair.a_hat, lam[None] @ pair.b_hat)
+            assert a_hat @ lam == 0.0 and b_hat @ lam == 0.0
+        A, B = _outcome_bits(lam[None] @ a_hat, lam[None] @ b_hat)
         assert A.shape == B.shape == (1,)
         assert (1 - 2 * int(A[0]), 1 - 2 * int(B[0])) == model_outcomes(a, b, mu, tau)
 
@@ -395,18 +395,18 @@ class TestModelOutcomes:
         lam = np.array([great_circle_point(mu, tau) for mu, tau in points])
         for _ in range(50):
             a = random_unit(rng)
-            pair = rotated_settings(a, a)
-            A, B = _outcome_bits(lam @ pair.a_hat, lam @ pair.b_hat)
+            a_hat, b_hat = rotated_settings(a, a)
+            A, B = _outcome_bits(lam @ a_hat, lam @ b_hat)
             assert A.dtype == B.dtype == bool
             np.testing.assert_array_equal(A, ~B)
 
     def test_constant_product_on_special_circle(self):
         # x-z plane settings at alpha = pi/4 against the tau = pi/2 circle:
         # both rotated projections are proportional to cos(mu)
-        family = four_directions(PI / 4)
-        pair = rotated_settings(family.a, family.b)
+        a, b = four_directions(PI / 4)[0]
+        a_hat, b_hat = rotated_settings(a, b)
         lam = np.array([great_circle_point(mu, PI / 2) for mu in np.linspace(0.0, 2.0 * PI, 37)])
-        A, B = _outcome_bits(lam @ pair.a_hat, lam @ pair.b_hat)
+        A, B = _outcome_bits(lam @ a_hat, lam @ b_hat)
         assert (A != B).all()
 
     def test_mc_stream_is_pinned(self):
@@ -430,13 +430,13 @@ class TestModelOutcomes:
 
 class TestConditionalCorrelation:
     def test_frozen_value_quarter_alpha(self):
-        family = four_directions(PI / 4)
-        value = conditional_correlation(family.a, family.b, 0.0)
+        a, b = four_directions(PI / 4)[0]
+        value = conditional_correlation(a, b, 0.0)
         assert value == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-12)
 
     def test_special_circle_value(self):
-        family = four_directions(PI / 4)
-        assert conditional_correlation(family.a, family.b, PI / 2) == pytest.approx(
+        a, b = four_directions(PI / 4)[0]
+        assert conditional_correlation(a, b, PI / 2) == pytest.approx(
             -1.0, abs=1e-15
         )
 
@@ -458,9 +458,9 @@ class TestConditionalCorrelation:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_tau_rejected(self, bad):
-        family = four_directions(0.3)
+        a, b = four_directions(0.3)[0]
         for call in (
-            lambda: conditional_correlation(family.a, family.b, bad),
+            lambda: conditional_correlation(a, b, bad),
             lambda: crypto_local_average(np.array([0.0, 0.0, 1.0]), bad),
             lambda: conditional_chsh(0.3, bad),
             lambda: closed_form_chsh(0.3, bad),
@@ -629,7 +629,7 @@ class TestLocalAverage:
         for _ in range(50):
             a, b = random_unit(rng), random_unit(rng)
             tau = rng.uniform(0.0, PI)
-            assert abs(crypto_local_average(rotated_settings(a, b).a_hat, tau)) <= 1e-12
+            assert abs(crypto_local_average(rotated_settings(a, b)[0], tau)) <= 1e-12
 
     def test_skew_symmetry(self):
         rng = np.random.default_rng(11)
@@ -648,20 +648,30 @@ class TestLocalAverage:
 
 class TestFourDirections:
     def test_collapse_at_zero(self):
-        family = four_directions(0.0)
-        for v in (family.a, family.a_prime, family.b, family.b_prime):
+        for v in four_directions(0.0).reshape(-1, 3):
             np.testing.assert_allclose(v, [0.0, 0.0, 1.0], atol=1e-15)
 
     def test_pi_over_six(self):
-        family = four_directions(PI / 6)
-        np.testing.assert_allclose(family.a_prime, [-1.0, 0.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(family.b_prime, [1.0, 0.0, 0.0], atol=1e-12)
+        a_prime, b_prime = four_directions(PI / 6)[3]
+        np.testing.assert_allclose(a_prime, [-1.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(b_prime, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_ab_angle_is_two_alpha(self):
         for alpha in np.linspace(0.0, PI / 4, 11):
-            family = four_directions(alpha)
-            dot = float(np.clip(family.a @ family.b, -1, 1))
+            a, b = four_directions(alpha)[0]
+            dot = float(np.clip(a @ b, -1, 1))
             assert math.acos(dot) == pytest.approx(2.0 * alpha, abs=1e-9)
+
+    def test_pairs_hold_the_four_vectors_in_chsh_order(self):
+        # a, a', b, b' at polar angles alpha, -3 alpha, -alpha, 3 alpha, each
+        # computed alone, paired (a, b), (a, b'), (a', b), (a', b') bit for bit
+        alphas = np.linspace(0.0, PI / 4, 37)
+        theta = np.multiply.outer(alphas, [1.0, -3.0, -1.0, 3.0])
+        vectors = np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=-1)
+        a, a_prime, b, b_prime = np.moveaxis(vectors, -2, 0)
+        pairs = [(a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime)]
+        want = np.stack([np.stack(pair, axis=-2) for pair in pairs], axis=-3)
+        assert four_directions(alphas).tobytes() == want.tobytes()
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -700,20 +710,36 @@ class TestFourDirections:
         with pytest.raises(ValueError, match="int or float"):
             entry(bad)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            tau_average_chsh,
+            quantum_chsh_reference,
+            lambda alpha: conditional_chsh(alpha, 1.0),
+            lambda alpha: closed_form_chsh(alpha, 1.0),
+        ],
+        ids=["tau_average_chsh", "quantum_chsh_reference", "conditional_chsh", "closed_form_chsh"],
+    )
+    def test_one_alpha_entry_points_take_only_a_scalar(self, entry):
+        # a stack of alphas is named as such, and a 0-d array is a scalar
+        for stack in ([0.3], (0.3, 0.4), np.array([0.3]), np.full((1, 1), 0.3)):
+            with pytest.raises(ValueError, match="alpha must be a scalar"):
+                entry(stack)
+        assert entry(np.array(0.3)) == entry(0.3)
+
     @pytest.mark.parametrize("alpha", [0, np.int64(0), 0.5, np.float32(0.5), np.float64(0.5)])
     def test_int_and_float_alpha_accepted(self, alpha):
         family = four_directions(alpha)
-        assert family.a.dtype == np.float64
-        assert family.a.tobytes() == four_directions(float(alpha)).a.tobytes()
+        assert family.dtype == np.float64
+        assert family.tobytes() == four_directions(float(alpha)).tobytes()
 
     def test_array_rows_equal_scalar_calls(self):
         alphas = np.linspace(0.0, PI / 4, 37)
         stacked = four_directions(alphas)
         for i, alpha in enumerate(alphas.tolist()):
             single = four_directions(alpha)
-            assert single.a.shape == (3,) and not hasattr(single, "alpha")
-            for name in ("a", "a_prime", "b", "b_prime"):
-                assert getattr(stacked, name)[i].tobytes() == getattr(single, name).tobytes()
+            assert single.shape == (4, 2, 3)
+            assert stacked[i].tobytes() == single.tobytes()
 
 
 def oracle_gamma_functions(alpha: float) -> tuple[float, float, float, float]:
@@ -1151,7 +1177,7 @@ class TestTauAverages:
             c, s = math.cos(tilt), math.sin(tilt)
             a = [math.sin(omega / 2), s * math.cos(omega / 2), c * math.cos(omega / 2)]
             b = [-math.sin(omega / 2), s * math.cos(omega / 2), c * math.cos(omega / 2)]
-            assert rotated_settings(a, b).omega_hat == pytest.approx(gamma, abs=1e-12)
+            assert angle(*rotated_settings(a, b)) == pytest.approx(gamma, abs=1e-12)
             assert tau_average_correlation(a, b) == pytest.approx(want, abs=1e-9)
 
     def test_rule_weights_cover_zero_to_pi(self):

@@ -14,11 +14,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 #: SHA-256 prefixes of stdout, found the same with numpy's AVX512 and AVX2
 #: dispatch turned off in the child (``NPY_DISABLE_CPU_FEATURES`` set to
-#: "X86_V4 AVX512_ICL AVX512_SPR" and to "X86_V3 X86_V4 AVX512_ICL
-#: AVX512_SPR").  ``entangled_identities.py`` is not pinned: the last digit
-#: of its two curve residuals moves with the AVX2 dispatch.
+#: "AVX512_SPR", to "X86_V4" and to "X86_V3").  ``entangled_identities.py``
+#: is not pinned: the last digit of its two curve residuals moves with the
+#: AVX2 dispatch.
 PINNED = {
-    "conditional_chsh_landscape.py": "a8b15c4c9b6c4496",
+    "conditional_chsh_landscape.py": "fda5ec5cdd23dcd8",
     "pr_box_walkthrough.py": "6e4a070f558391b8",
     "singlet_from_pr_box.py": "5f7c65f4fa1ae482",
 }

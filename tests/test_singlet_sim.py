@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from nonlocality_lab import crypto_bell, singlet_sim
 from nonlocality_lab._rng import derive_seed, substream
 from nonlocality_lab.crypto_bell import (
-    RotatedPair,
     _outcome_bits,
     mc_joint_correlation,
     rotated_settings,
@@ -147,8 +146,7 @@ def serial_singlet(a, b, n, seed):
 def serial_full_sphere(a, b, n, seed):
     """Test oracle: ``mc_joint_correlation`` on one serial pass through its
     stream, in the frame of the rotated pair."""
-    pair = rotated_settings(a, b)
-    frame = _frame(pair.a_hat, pair.b_hat)
+    frame = _frame(*rotated_settings(a, b))
     lam = _FrameSampler(seed, "crypto-mc-lam", 0, frame, singlet_sim.CHUNK_ROUNDS)
 
     def disagree(m):
@@ -610,8 +608,7 @@ class TestChunkedCounter:
 
     def test_full_sphere_stderr_is_sample_std(self):
         n, seed = 50_001, 23
-        pair = rotated_settings(A_DIR, B_DIR)
-        lam = _FrameSampler(seed, "crypto-mc-lam", 0, _frame(pair.a_hat, pair.b_hat), n)
+        lam = _FrameSampler(seed, "crypto-mc-lam", 0, _frame(*rotated_settings(A_DIR, B_DIR)), n)
         z, b_lam = lam.project(n)
         products = np.where(z >= 0.0, 1.0, -1.0) * np.where(b_lam >= 0.0, -1.0, 1.0)
         mean, stderr = mc_joint_correlation(A_DIR, B_DIR, n, seed)
@@ -662,7 +659,7 @@ class TestSegments:
         n, a, b = 100_003, Z, np.array([math.sin(theta), 0.0, math.cos(theta)])
         assert _frame(a, b) == (b[2], b[0])
         assert estimate_singlet_correlation(a, b, n, seed) == world_singlet(a, b, n, seed)
-        monkeypatch.setattr(crypto_bell, "rotated_settings", lambda a, b: RotatedPair(a, b, 0.0, 0.0))
+        monkeypatch.setattr(crypto_bell, "rotated_settings", lambda a, b: np.stack([a, b]))
         assert mc_joint_correlation(a, b, n, seed) == world_full_sphere(a, b, n, seed)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 7, 40])
