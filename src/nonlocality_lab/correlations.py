@@ -106,6 +106,15 @@ def _numeric_array(value, dtype: type = float) -> np.ndarray:
     raise ValueError(f"expected {kinds} values, got {problem}")
 
 
+def _one_number(name: str, value) -> float:
+    """One int or float ``value`` (a 0-d array is one) as a float; a list, an
+    array with axes or input ``_numeric_array`` rejects raises ``ValueError``."""
+    arr = _numeric_array(value)
+    if arr.ndim:
+        raise ValueError(f"{name} must be a scalar, got {value!r}")
+    return arr.item()
+
+
 class BoxTable:
     """Conditional outcome distribution P(a, b | x, y), all indices binary.
 
@@ -175,7 +184,7 @@ class CorrelationSet:
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
-            if not -1.0 - 1e-9 <= value <= 1.0 + 1e-9:
+            if not -1.0 - 1e-9 <= _one_number(name, value) <= 1.0 + 1e-9:
                 raise ValueError(f"{name} = {value} outside [-1, 1]")
 
 

@@ -68,8 +68,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._rng import _whole_number
-from .correlations import NonlocalityClass, _numeric_array, chsh_class_codes, chsh_sum
-from .singlet_sim import _chunked_estimate, _frame, _FrameSampler, as_unit_vector
+from .correlations import NonlocalityClass, _numeric_array, _one_number, chsh_class_codes, chsh_sum
+from .singlet_sim import SingletEstimate, _chunked_estimate, _frame, _FrameSampler, as_unit_vector
 
 __all__ = [
     "rotated_settings",
@@ -175,7 +175,7 @@ def _arc_average(vectors, taus) -> np.ndarray:
 
 def conditional_correlation(a, b, tau: float) -> float:
     """Pair correlation at fixed tau: (1/4) int A B |sin mu| dmu, exact."""
-    return -float(_arc_average(rotated_settings(a, b), [tau])[0])
+    return -float(_arc_average(rotated_settings(a, b), [_one_number("tau", tau)])[0])
 
 
 def crypto_local_average(a, tau: float) -> float:
@@ -188,11 +188,11 @@ def crypto_local_average(a, tau: float) -> float:
     vector orthogonal to the whole circle has the constant sign sgn(0) = +1
     and averages to 1.
     """
-    return float(_arc_average([as_unit_vector(a)], [tau])[0])
+    return float(_arc_average([as_unit_vector(a)], [_one_number("tau", tau)])[0])
 
 
-def mc_joint_correlation(a, b, n: int, seed: int) -> tuple[float, float]:
-    """Full-sphere Monte Carlo of A*B; returns (mean, stderr).
+def mc_joint_correlation(a, b, n: int, seed: int) -> SingletEstimate:
+    """Full-sphere Monte Carlo of A*B; returns its ``SingletEstimate``.
 
     Cross-check for the exact route: the mean must agree with -a.b.  lam is
     sampled in the frame of the rotated pair (a_hat, b_hat), as the singlet
@@ -210,8 +210,7 @@ def mc_joint_correlation(a, b, n: int, seed: int) -> tuple[float, float]:
 
         return disagree
 
-    estimate = _chunked_estimate(n, open_rounds)
-    return estimate.e_hat, estimate.stderr
+    return _chunked_estimate(n, open_rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +227,6 @@ def four_directions(alpha) -> np.ndarray:
         raise ValueError(f"alpha must lie in [0, pi/4], got {alpha}")
     theta = np.multiply.outer(angles, [[1.0, -1.0], [1.0, 3.0], [-3.0, -1.0], [-3.0, 3.0]])
     return np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=-1)
-
-
-def _one_alpha(alpha):
-    """``alpha`` if it is one number (a 0-d array is one), else ``ValueError``."""
-    if _numeric_array(alpha).ndim:
-        raise ValueError(f"alpha must be a scalar, got {alpha!r}")
-    return alpha
 
 
 def gamma_functions(alpha) -> np.ndarray:
@@ -321,7 +313,8 @@ def conditional_chsh(alpha: float, tau: float) -> ConditionalChsh:
     """Exact-arc conditional correlations and CHSH value at (alpha, tau):
     the cell of a 1 x 1 block, from the kernel calls of ``_region_blocks``,
     which also check alpha and tau."""
-    e, f = _family_chsh(_rotated_family([_one_alpha(alpha)]), [tau])
+    alpha, tau = _one_number("alpha", alpha), _one_number("tau", tau)
+    e, f = _family_chsh(_rotated_family([alpha]), [tau])
     block = RegionScan(np.array([alpha], float), np.array([tau], float), e, f, chsh_class_codes(f))
     return block.cell(0, 0)
 
@@ -398,7 +391,7 @@ def singlet_reference(a, b) -> float:
 def quantum_chsh_reference(alpha: float) -> float:
     """Singlet CHSH value on the tilted family, straight from dot products
     (works out to -3 cos(2 alpha) + cos(6 alpha))."""
-    return chsh_sum([singlet_reference(u, v) for u, v in four_directions(_one_alpha(alpha))])
+    return chsh_sum([singlet_reference(*uv) for uv in four_directions(_one_number("alpha", alpha))])
 
 
 def _tau_integral(pairs) -> np.ndarray:
@@ -444,7 +437,7 @@ def tau_average_correlation(a, b) -> float:
 def tau_average_chsh(alpha: float) -> float:
     """(1/pi) * int_0^pi F_tau(alpha) dtau, exact (``_tau_integral``); must
     reproduce the quantum value -3 cos(2 alpha) + cos(6 alpha)."""
-    return float(chsh_sum(-_tau_integral(_rotated_family(_one_alpha(alpha))))) / math.pi
+    return float(chsh_sum(-_tau_integral(_rotated_family(_one_number("alpha", alpha))))) / math.pi
 
 
 #: Cells per ``_arc_average`` call of the scan: whole alpha rows are stacked

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._rng import _whole_number, substream
-from .correlations import _numeric_array
+from .correlations import _numeric_array, _one_number
 from .singlet_sim import as_unit_vector
 
 __all__ = [
@@ -154,7 +154,7 @@ def _basis_stacks(n: int) -> tuple[np.ndarray, np.ndarray]:
     f[sym, i, j] = f[sym, j, i] = scale
     f[sym + 1, i, j] = 1.0j * scale
     f[sym + 1, j, i] = -1.0j * scale
-    g = f.transpose(0, 2, 1).copy()
+    g = transpose_partner(f)
     f.flags.writeable = g.flags.writeable = False
     return f, g
 
@@ -374,7 +374,7 @@ def curve_point(a_coords: np.ndarray, theta: float) -> np.ndarray:
     support plane and extended by the identity on the kernel; theta = 0
     returns a, theta = pi returns -a, norms and spectra are preserved.
     """
-    if not 0.0 <= theta <= math.pi + 1e-12:
+    if not 0.0 <= _one_number("theta", theta) <= math.pi + 1e-12:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
     return _curve_nodes(a_coords, np.array([theta]))[0]
 
@@ -398,10 +398,11 @@ def theorem_bound(n: int, a_norm_sq: float = 1.0, dim: int = 2) -> float:
     quantum-equivalent crypto-nonlocal model; it decreases strictly for
     n >= 2 and vanishes as n -> infinity, forcing the average to zero.
     ``n`` and ``dim`` are whole numbers: Python or numpy integers, not bools
-    or floats.
+    or floats; ``a_norm_sq`` is one int or float.
     """
     n = _whole_number("n", n, 1)
     dim = _whole_number("dim", dim, 1)
+    a_norm_sq = _one_number("a_norm_sq", a_norm_sq)
     if not (math.isfinite(a_norm_sq) and a_norm_sq >= 0.0):
         raise ValueError(f"a_norm_sq must be finite and >= 0, got {a_norm_sq}")
     return (2.0 * n * a_norm_sq / dim) * math.sin(math.pi / (2.0 * n)) ** 2

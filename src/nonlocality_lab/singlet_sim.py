@@ -27,8 +27,8 @@ samples the same way in the frame of its rotated pair.
 Estimators draw ``CHUNK_ROUNDS`` rounds at a time and keep one integer, the
 count of rounds with product -1, so memory does not grow with n.  The n
 rounds are split into contiguous segments on chunk boundaries, one per usable
-CPU up to ``MAX_SEGMENTS``: the caller's thread counts the first, one thread
-each the others, and the counts are summed.  lam1, lam2 and the box bits
+CPU up to ``MAX_SEGMENTS``: the caller's thread counts the first, a thread
+pool the others, and the counts are summed.  lam1, lam2 and the box bits
 each have a named substream, which drawn in pieces equals itself drawn at
 once, and a segment opens each stream at its first round by advancing the
 generator past the draws of the rounds before it.  Each segment also owns
@@ -42,8 +42,7 @@ from __future__ import annotations
 
 import math
 import os
-import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -180,8 +179,9 @@ def singlet_round(a, b, lam1, lam2, box_bit: int) -> tuple[int, int]:
     return int(A[0]), int(B[0])
 
 
-@dataclass(frozen=True)
-class SingletEstimate:
+class SingletEstimate(NamedTuple):
+    """The named (e_hat, stderr) pair that both Monte Carlo estimators return."""
+
     e_hat: float
     stderr: float
 
@@ -222,38 +222,25 @@ def _chunked_estimate(n: int, open_rounds) -> SingletEstimate:
     returns a ``disagree(m)`` that draws the next m <= ``chunk`` rounds, the
     first of them round ``start``, into that scratch, and returns the boolean
     mask of those with product -1.  Each segment opens its own rounds; an
-    error in any segment is raised here once every thread has ended.
+    error in any is raised here, the first in segment order, once the pool
+    that counts all but segment 0 has joined its threads.
     """
+    from concurrent.futures import ThreadPoolExecutor  # loads logging, so not at import time
     n = _whole_number("n", n, 1)
     chunks = -(-n // CHUNK_ROUNDS)
     segments = min(_usable_cpus(), MAX_SEGMENTS, chunks)
     bounds = [CHUNK_ROUNDS * (chunks * i // segments) for i in range(segments)] + [n]
-    counts = [0] * segments
-    errors: list[BaseException | None] = [None] * segments
 
-    def count(i: int) -> None:
-        try:
-            start, stop = bounds[i], bounds[i + 1]
-            disagree = open_rounds(start, min(CHUNK_ROUNDS, stop - start))
-            counts[i] = sum(
-                int(np.count_nonzero(disagree(min(CHUNK_ROUNDS, stop - first))))
-                for first in range(start, stop, CHUNK_ROUNDS)
-            )
-        except BaseException as exc:  # re-raised in the caller below
-            errors[i] = exc
+    def count(start: int, stop: int) -> int:
+        disagree = open_rounds(start, min(CHUNK_ROUNDS, stop - start))
+        return sum(
+            int(np.count_nonzero(disagree(min(CHUNK_ROUNDS, stop - first))))
+            for first in range(start, stop, CHUNK_ROUNDS)
+        )
 
-    threads = [threading.Thread(target=count, args=(i,)) for i in range(1, segments)]
-    for thread in threads:
-        thread.start()
-    try:
-        count(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    error = next((e for e in errors if e is not None), None)
-    if error is not None:
-        raise error
-    k = sum(counts)
+    with ThreadPoolExecutor(max(1, segments - 1)) as pool:
+        others = pool.map(count, bounds[1:-1], bounds[2:])
+        k = count(bounds[0], bounds[1]) + sum(others)
     e_hat = (n - 2 * k) / n
     stderr = math.sqrt((1.0 - e_hat * e_hat) / (n - 1)) if n > 1 else 0.0
     return SingletEstimate(e_hat=e_hat, stderr=stderr)

@@ -20,7 +20,8 @@ SOURCES = sorted(
 #: Names that left the package.  The test-only helpers among them now live
 #: in the tests; ``SCRATCH_PER_POINT`` sized the world-frame sampling
 #: buffers that the estimators no longer use; the two records of the crypto
-#: settings gave way to (..., 2, 3) pair stacks.
+#: settings gave way to (..., 2, 3) pair stacks; ``_one_alpha`` became
+#: ``correlations._one_number``, the scalar rule for every real scalar.
 DELETED = (
     "polar_from_standard",
     "standard_from_polar",
@@ -36,6 +37,7 @@ DELETED = (
     "SCRATCH_PER_POINT",
     "RotatedPair",
     "FourDirectionFamily",
+    "_one_alpha",
 )
 
 
@@ -57,8 +59,9 @@ class TestPublicNames:
 
 
 def _unused_names(path: Path) -> list[str]:
-    """Module-level imports the module never uses, and module-level names
-    outside ``__all__`` (private ones included) that nothing in it reads."""
+    """Imports the module never uses, at module level or in a function
+    body, and module-level names outside ``__all__`` (private ones included)
+    that nothing in it reads."""
     tree = ast.parse(path.read_text(), filename=str(path))
     read = {
         node.id
@@ -72,15 +75,15 @@ def _unused_names(path: Path) -> list[str]:
         ):
             public = set(ast.literal_eval(node.value))
     unused = []
-    for node in tree.body:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
             for alias in node.names:
                 bound = alias.asname or alias.name.split(".")[0]
                 if bound not in read and bound not in public:
                     unused.append(f"import {bound}")
-            continue
+    for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             defined = [node.name]
         elif isinstance(node, ast.Assign):
@@ -112,9 +115,15 @@ class TestNoDeadCode:
             "__all__ = ['f']\n"
             "TWO_PI = 2.0 * math.pi\n"
             "def _helper():\n    pass\n"
-            "def f(v):\n    return as_unit_vector(v)\n"
+            "def f(v):\n    from concurrent.futures import ThreadPoolExecutor\n"
+            "    return as_unit_vector(v)\n"
         )
-        assert _unused_names(source) == ["import sgn", "TWO_PI", "_helper"]
+        assert _unused_names(source) == [
+            "import sgn",
+            "import ThreadPoolExecutor",
+            "TWO_PI",
+            "_helper",
+        ]
 
 
 def _bool_knobs(path: Path) -> list[str]:

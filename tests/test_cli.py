@@ -607,13 +607,25 @@ def test_negative_seed_runs_and_repeats(capsys, argv):
     assert first == second
 
 
-def test_import_does_not_load_scipy():
-    code = "import sys, nonlocality_lab.cli; print('scipy' in sys.modules)"
+def loaded_by_import(module: str) -> bool:
+    """Whether ``module`` is in ``sys.modules`` of a fresh interpreter after
+    ``import nonlocality_lab.cli``."""
+    code = f"import sys, nonlocality_lab.cli; print({module!r} in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip() == "True"
+
+
+def test_import_does_not_load_scipy():
+    assert not loaded_by_import("scipy")
+
+
+def test_import_does_not_load_concurrent_futures():
+    # it imports logging; the Monte Carlo segment runner imports it on first
+    # use, so every command's start-up is spared the cost
+    assert not loaded_by_import("concurrent.futures")
 
 
 class TestUsage:

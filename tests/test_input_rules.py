@@ -1,19 +1,28 @@
-"""The package's two input rules: a count, size or seed is a whole number
-(``_rng._whole_number``), and list or tuple input holding a bool is not
-numeric (``correlations._numeric_array``)."""
+"""The package's input rules: a count, size or seed is a whole number
+(``_rng._whole_number``), list or tuple input holding a bool is not
+numeric (``correlations._numeric_array``), and a real scalar is one int or
+float (``correlations._one_number``)."""
 
 import numpy as np
 import pytest
 
 from nonlocality_lab import correlations
 from nonlocality_lab._rng import _whole_number, derive_seed, substream
+from nonlocality_lab.correlations import CorrelationSet
 from nonlocality_lab.crypto_bell import (
     _region_blocks,
+    closed_form_chsh,
     conditional_chsh,
+    conditional_correlation,
     crypto_local_average,
     region_scan,
 )
-from nonlocality_lab.entangled_ops import theorem_bound, verification_report
+from nonlocality_lab.entangled_ops import (
+    coords_from_observable,
+    curve_point,
+    theorem_bound,
+    verification_report,
+)
 from nonlocality_lab.pr_box import pr_table_from_hidden
 from nonlocality_lab.singlet_sim import as_unit_vector, estimate_singlet_correlation
 
@@ -85,6 +94,45 @@ class TestWholeNumberCallers:
             estimate_singlet_correlation(Z, X, 10_000, 1.7)
 
 
+#: The N = 2 operator diag(1, -1), a point of its unitary curve.
+SIGMA_Z = coords_from_observable(np.diag([1.0, -1.0]))
+
+
+class TestOneNumber:
+    @pytest.mark.parametrize(
+        "name, entry",
+        [
+            ("tau", lambda tau: conditional_correlation(Z, X, tau)),
+            ("tau", lambda tau: crypto_local_average(Z, tau)),
+            ("tau", lambda tau: conditional_chsh(0.3, tau)),
+            ("tau", lambda tau: closed_form_chsh(0.3, tau)),
+            ("theta", lambda theta: curve_point(SIGMA_Z, theta)),
+            ("a_norm_sq", lambda a_norm_sq: theorem_bound(4, a_norm_sq)),
+            ("e_ab", lambda e_ab: CorrelationSet(e_ab, 0.0, 0.0, 0.0)),
+        ],
+        ids=[
+            "conditional_correlation",
+            "crypto_local_average",
+            "conditional_chsh",
+            "closed_form_chsh",
+            "curve_point",
+            "theorem_bound",
+            "CorrelationSet",
+        ],
+    )
+    def test_real_scalar_entry_points(self, name, entry):
+        # a list once gave TypeError, a 2-array numpy's truth-value error,
+        # and True was read as 1
+        for stack in ([0.3], (0.3, 0.4), np.array([0.3, 0.4]), np.full((1, 1), 0.3)):
+            with pytest.raises(ValueError, match=f"{name} must be a scalar"):
+                entry(stack)
+        for other in (True, np.True_, "0.3", 0.3 + 0j):
+            with pytest.raises(ValueError, match="expected int or float values, got dtype"):
+                entry(other)
+        assert np.array_equal(entry(np.array(0.3)), entry(0.3))
+        assert np.array_equal(entry(np.float32(0.5)), entry(float(np.float32(0.5))))
+
+
 class TestBoolElements:
     @pytest.mark.parametrize(
         "vector",
@@ -106,7 +154,7 @@ class TestBoolElements:
         assert pr_table_from_hidden((1, 0.0)) == pr_table_from_hidden((1.0, 0.0))
 
     def test_tau(self):
-        # a tau goes in as the list [tau], whose dtype numpy infers as bool
+        # True is a bool, not the number 1, for tau as for a vector's elements
         with pytest.raises(ValueError, match="got dtype bool"):
             conditional_chsh(0.5, True)
         with pytest.raises(ValueError, match="got dtype bool"):

@@ -107,13 +107,6 @@ def frame_rounds(a, b, seed, n):
     return a1, a2, b1, b2, substream(seed, "pr-box-bit").random(n) < 0.5
 
 
-def singlet_mean_stderr(a, b, n, seed):
-    """``estimate_singlet_correlation`` as the (mean, stderr) pair that
-    ``mc_joint_correlation`` returns."""
-    estimate = estimate_singlet_correlation(a, b, n, seed)
-    return estimate.e_hat, estimate.stderr
-
-
 def serial_chunked_estimate(n, disagree):
     """Test oracle: the counter before its rounds were split into segments.
     ``disagree(m)`` draws the next m rounds of one stream set, in order."""
@@ -153,8 +146,7 @@ def serial_full_sphere(a, b, n, seed):
         A, B = _outcome_bits(*lam.project(m))
         return A != B
 
-    estimate = serial_chunked_estimate(n, disagree)
-    return estimate.e_hat, estimate.stderr
+    return serial_chunked_estimate(n, disagree)
 
 
 def world_singlet(a, b, n, seed):
@@ -182,8 +174,7 @@ def world_full_sphere(a_hat, b_hat, n, seed):
         A, B = _outcome_bits(points @ a_hat, points @ b_hat)
         return A != B
 
-    estimate = serial_chunked_estimate(n, disagree)
-    return estimate.e_hat, estimate.stderr
+    return serial_chunked_estimate(n, disagree)
 
 
 def unit_rows(v):
@@ -476,8 +467,7 @@ class TestEstimator:
     def test_numpy_integer_round_count(self, estimator, n):
         got = estimator(A_DIR, B_DIR, n, 1)
         assert got == estimator(A_DIR, B_DIR, 5000, 1)
-        values = (got.e_hat, got.stderr) if isinstance(got, SingletEstimate) else got
-        assert all(type(value) is float for value in values)
+        assert all(type(value) is float for value in got)
 
     def test_requires_unit_vectors(self):
         with pytest.raises(ValueError):
@@ -643,12 +633,13 @@ class TestSegments:
     )
     @pytest.mark.parametrize("seed", [1, 7, 12345])
     def test_estimators_equal_serial_oracle(self, n, seed):
-        assert estimate_singlet_correlation(A_DIR, B_DIR, n, seed) == serial_singlet(
-            A_DIR, B_DIR, n, seed
-        )
-        assert mc_joint_correlation(A_DIR, B_DIR, n, seed) == serial_full_sphere(
-            A_DIR, B_DIR, n, seed
-        )
+        for estimate, oracle in [
+            (estimate_singlet_correlation, serial_singlet),
+            (mc_joint_correlation, serial_full_sphere),
+        ]:
+            got = estimate(A_DIR, B_DIR, n, seed)
+            assert type(got) is SingletEstimate
+            assert got == oracle(A_DIR, B_DIR, n, seed)
 
     @pytest.mark.parametrize("theta", [0.3, 1.1, math.pi / 2, 2.9])
     @pytest.mark.parametrize("seed", [1, 7])
@@ -669,6 +660,7 @@ class TestSegments:
         n, seed = 100_003, 31
         want = serial_singlet(A_DIR, B_DIR, n, seed), serial_full_sphere(A_DIR, B_DIR, n, seed)
         monkeypatch.setattr(singlet_sim, "_usable_cpus", lambda: cpus)
+        baseline = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -678,6 +670,7 @@ class TestSegments:
         finally:
             sys.setswitchinterval(interval)
         assert got == want
+        assert threading.active_count() == baseline
 
     @pytest.mark.parametrize("cpus", [1, 3, MAX_SEGMENTS, MAX_SEGMENTS + 1, 64])
     def test_segment_count_is_capped(self, monkeypatch, cpus):
@@ -769,7 +762,9 @@ class TestPulls:
         return np.array(pulls)
 
     @pytest.mark.parametrize(
-        "estimate", [singlet_mean_stderr, mc_joint_correlation], ids=["singlet", "crypto-mc"]
+        "estimate",
+        [estimate_singlet_correlation, mc_joint_correlation],
+        ids=["singlet", "crypto-mc"],
     )
     def test_pulls_are_standard_normal(self, estimate):
         pulls = self.pulls(estimate)
@@ -792,10 +787,10 @@ class TestDegenerateSettings:
     def test_parallel_settings_are_exact(self, sign, want):
         for k, a in enumerate(self.settings()):
             assert estimate_singlet_correlation(a, sign * a, self.N, k) == SingletEstimate(want, 0.0)
-            assert mc_joint_correlation(a, sign * a, self.N, k) == (want, 0.0)
+            assert mc_joint_correlation(a, sign * a, self.N, k) == SingletEstimate(want, 0.0)
 
     @pytest.mark.parametrize("scale", [1.0 + 4.99e-10, 1.0 - 4.99e-10])
-    @pytest.mark.parametrize("estimate", [singlet_mean_stderr, mc_joint_correlation])
+    @pytest.mark.parametrize("estimate", [estimate_singlet_correlation, mc_joint_correlation])
     def test_near_unit_settings(self, estimate, scale):
         for k, (a, b) in enumerate(random_pairs(np.random.default_rng(62), 10)):
             a, b = scale * a, scale * b
